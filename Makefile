@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke relq-bench relq-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
+.PHONY: all build fmt-check vet test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke relq-bench relq-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails, listing the offenders, if any Go file is not
+# gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "not gofmt-clean:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -16,9 +21,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: build, vet, and the full test suite under the
-# race detector.
-check: build vet race
+# check is the CI gate: build, gofmt, vet, and the full test suite under
+# the race detector.
+check: build fmt-check vet race
 
 bench: runner-bench
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -155,7 +155,7 @@ type vertexState struct {
 	key       vertexKey
 	children  map[ids.ID]contribution
 	upVersion uint64
-	refresh   *simnet.Timer
+	refresh   simnet.Timer
 	primary   bool
 	// dirty marks state changes not yet propagated upward; the periodic
 	// refresh only re-propagates dirty vertices (plus a rare safety pass)
@@ -178,7 +178,7 @@ type vertexState struct {
 	// subtree whose every forward died in one burst — invisible to the
 	// parent, hence unhedgeable from above — still surfaces long before
 	// the unconditional refresh pass (see hedge.go).
-	reassert  *simnet.Timer
+	reassert  simnet.Timer
 	reassertN int
 }
 
@@ -195,7 +195,7 @@ func (v *vertexState) aggregate() (agg.Partial, int64) {
 // resubmitState tracks the bounded re-assertion schedule for this
 // endsystem's own contribution to one query.
 type resubmitState struct {
-	timer   *simnet.Timer
+	timer   simnet.Timer
 	attempt int
 	version uint64
 }
@@ -240,6 +240,8 @@ type Engine struct {
 	// resubmit holds the live re-assertion timer per query (volatile: a
 	// restart drops it, and the rejoin path's fresh Submit re-arms it).
 	resubmit map[ids.ID]*resubmitState
+	// backups is backupSet's reusable result buffer.
+	backups []pastry.NodeRef
 
 	// Observability handles, cached at construction (nil-safe no-ops when
 	// disabled).
@@ -315,17 +317,13 @@ func NewEngine(host Host, cfg Config) *Engine {
 // contribution to the same vertex, replacing rather than duplicating.
 func (e *Engine) Reset() {
 	for _, v := range e.vertices {
-		if v.refresh != nil {
-			v.refresh.Cancel()
-		}
+		v.refresh.Cancel()
 		e.clearHedge(v)
 	}
 	e.vertices = make(map[vertexKey]*vertexState)
 	e.queries = make(map[ids.ID]*queryInfo)
 	for _, st := range e.resubmit {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
+		st.timer.Cancel()
 	}
 	e.resubmit = make(map[ids.ID]*resubmitState)
 }
@@ -357,16 +355,12 @@ func (e *Engine) Cancel(qid ids.ID) {
 		info.canceled = true
 	}
 	if st, ok := e.resubmit[qid]; ok {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
+		st.timer.Cancel()
 		delete(e.resubmit, qid)
 	}
 	for key, v := range e.vertices {
 		if key.qid == qid {
-			if v.refresh != nil {
-				v.refresh.Cancel()
-			}
+			v.refresh.Cancel()
 			e.clearHedge(v)
 			delete(e.vertices, key)
 		}
@@ -408,9 +402,7 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 	}
 	info.canceled = true
 	if st, ok := e.resubmit[m.QID]; ok {
-		if st.timer != nil {
-			st.timer.Cancel()
-		}
+		st.timer.Cancel()
 		delete(e.resubmit, m.QID)
 	}
 	var keys []vertexKey
@@ -430,9 +422,7 @@ func (e *Engine) applyCancel(m *cancelMsg) {
 			// applyCancel and reclaiming the remaining vertices already.
 			continue
 		}
-		if v.refresh != nil {
-			v.refresh.Cancel()
-		}
+		v.refresh.Cancel()
 		e.clearHedge(v)
 		delete(e.vertices, key)
 		if !v.primary {
@@ -588,10 +578,10 @@ func cancelMsgSize() int { return ids.Bytes }
 
 // TraceQuery implements pastry.Traced, attributing routing events for
 // aggregation traffic to the query's trace.
-func (m *submitMsg) TraceQuery() string { return m.QID.Short() }
-func (m *replMsg) TraceQuery() string   { return m.QID.Short() }
-func (m *resultMsg) TraceQuery() string { return m.QID.Short() }
-func (m *cancelMsg) TraceQuery() string { return m.QID.Short() }
+func (m *submitMsg) TraceQuery() ids.ID { return m.QID }
+func (m *replMsg) TraceQuery() ids.ID   { return m.QID }
+func (m *resultMsg) TraceQuery() ids.ID { return m.QID }
+func (m *cancelMsg) TraceQuery() ids.ID { return m.QID }
 
 // TraceSpan implements pastry.TracedSpan for verbose hop-chain tracing.
 func (m *submitMsg) TraceSpan() uint64 { return m.Cause }
@@ -614,7 +604,7 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 	c := &contribution{Version: version, Part: part, Contributors: 1}
 	e.submitted[qid] = c
 	e.cSubmits.Inc()
-	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, Query: qid.Short(),
+	span := e.o.EmitSpan(cause, obs.Event{Kind: obs.KindSubmit, QID: qid,
 		EP: int(e.host.PastryNode().Endpoint()), N: int64(version)})
 	e.sendSubmission(qid, *c, span)
 	e.armResubmit(qid, c.Version, 0, span)
@@ -630,7 +620,7 @@ func (e *Engine) Submit(qid ids.ID, part agg.Partial, q *relq.Query, injector si
 // invariant is untouched. A newer Submit restarts the chain with its own
 // version; the stale chain detects the version change and stops.
 func (e *Engine) armResubmit(qid ids.ID, version uint64, attempt int, span uint64) {
-	if prev := e.resubmit[qid]; prev != nil && prev.timer != nil {
+	if prev := e.resubmit[qid]; prev != nil {
 		prev.timer.Cancel()
 	}
 	if e.cfg.DisableRepair || attempt >= resubmitAttempts {
@@ -654,7 +644,7 @@ func (e *Engine) armResubmit(qid ids.ID, version uint64, attempt int, span uint6
 			return
 		}
 		e.cResubmit.Inc()
-		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, Query: qid.Short(),
+		next := e.o.EmitSpan(span, obs.Event{Kind: obs.KindAggResubmit, QID: qid,
 			EP: int(node.Endpoint()), N: int64(st.attempt + 1)})
 		e.sendSubmission(qid, *c, next)
 		e.armResubmit(qid, st.version, st.attempt+1, next)
@@ -743,7 +733,7 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	case *replMsg:
 		e.applyRepl(m)
 	case *resultMsg:
-		span := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPartial, Query: m.QID.Short(),
+		span := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPartial, QID: m.QID,
 			EP: int(e.host.PastryNode().Endpoint()),
 			N:  m.Contributors, V: float64(m.Part.Count)})
 		e.host.ResultDelivered(m.QID, m.Part, m.Contributors, span)
@@ -825,7 +815,7 @@ func (e *Engine) applySubmit(m *submitMsg) {
 		// let the budget throttle wasted pulls only.
 		v.tokens = min(v.tokens+1, e.cfg.HedgeBurst)
 		if won := e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindHedgeWon,
-			Query: m.QID.Short(), EP: int(e.host.PastryNode().Endpoint()),
+			QID: m.QID, EP: int(e.host.PastryNode().Endpoint()),
 			N: int64(m.C.Version)}); won != 0 {
 			v.cause = won
 		}
@@ -878,7 +868,7 @@ func (e *Engine) applyRepl(m *replMsg) {
 	if e.host.PastryNode().IsRootOf(m.Vertex) {
 		if !v.primary {
 			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: m.QID.Short(),
+			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, QID: m.QID,
 				EP: int(e.host.PastryNode().Endpoint())})
 			// A takeover starts with a clean hedge slate: the response-time
 			// distributions the old primary accumulated (and whatever this
@@ -971,10 +961,13 @@ func (e *Engine) forwardUp(v *vertexState) {
 	}
 }
 
-// backupSet picks the m leafset members closest to the vertexId.
+// backupSet picks the m leafset members closest to the vertexId. The
+// result aliases the engine's scratch buffer and is valid until the next
+// call: callers only iterate it to send, and Network.Send only schedules,
+// so nothing re-enters the engine while it is live.
 func (e *Engine) backupSet(vertex ids.ID) []pastry.NodeRef {
-	node := e.host.PastryNode()
-	cands := node.Leafset()
+	e.backups = e.host.PastryNode().AppendLeafset(e.backups[:0])
+	cands := e.backups
 	slices.SortFunc(cands, func(a, b pastry.NodeRef) int {
 		return vertex.AbsDistance(a.ID).Cmp(vertex.AbsDistance(b.ID))
 	})
@@ -1060,7 +1053,7 @@ func (e *Engine) HandleLeafsetChanged() {
 			e.clearHedge(v)
 			v.primary = true
 			e.cTakeovers.Inc()
-			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, Query: v.key.qid.Short(),
+			e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindTakeover, QID: v.key.qid,
 				EP: int(node.Endpoint())})
 			e.propagate(v)
 		case !isRoot:

@@ -67,8 +67,8 @@ type childHedge struct {
 	// heard-once child is precisely the one worth watching).
 	msgs int
 	// watch fires when the child overruns its predicted response
-	// quantile; nil while disarmed.
-	watch *simnet.Timer
+	// quantile; the zero Timer while disarmed.
+	watch simnet.Timer
 	// backups is the child's advertised replica set. Leaf children never
 	// advertise one — their contribution is a durable re-asserted record
 	// with nothing for a replica to add — and are never hedged.
@@ -101,7 +101,7 @@ type hedgePullMsg struct {
 func hedgePullMsgSize() int { return 3*ids.Bytes + 8 + 4 }
 
 // TraceQuery implements pastry.Traced; TraceSpan pastry.TracedSpan.
-func (m *hedgePullMsg) TraceQuery() string { return m.QID.Short() }
+func (m *hedgePullMsg) TraceQuery() ids.ID { return m.QID }
 func (m *hedgePullMsg) TraceSpan() uint64  { return m.Cause }
 
 // hedgeAckMsg is the child primary's "nothing newer" reply to a hedge
@@ -118,7 +118,7 @@ type hedgeAckMsg struct {
 func hedgeAckMsgSize() int { return 3*ids.Bytes + 8 }
 
 // TraceQuery implements pastry.Traced; TraceSpan pastry.TracedSpan.
-func (m *hedgeAckMsg) TraceQuery() string { return m.QID.Short() }
+func (m *hedgeAckMsg) TraceQuery() ids.ID { return m.QID }
 func (m *hedgeAckMsg) TraceSpan() uint64  { return m.Cause }
 
 // hedging reports whether the engine runs the hedging policy at all.
@@ -179,10 +179,8 @@ func (e *Engine) observeChild(v *vertexState, m *submitMsg) {
 // child exceeds the configured quantile of its own inter-update gaps, the
 // vertex hedges. Disarmed below the cold-start floor and for non-primaries.
 func (e *Engine) armHedgeWatch(v *vertexState, child ids.ID, ch *childHedge) {
-	if ch.watch != nil {
-		ch.watch.Cancel()
-		ch.watch = nil
-	}
+	ch.watch.Cancel()
+	ch.watch = simnet.Timer{}
 	if !v.primary || !e.hedging() {
 		return
 	}
@@ -218,7 +216,7 @@ func (e *Engine) armHedgeWatch(v *vertexState, child ids.ID, ch *childHedge) {
 	deadline <<= uint(strikes)
 	node := e.host.PastryNode()
 	ch.watch = node.Sched().After(deadline, func() {
-		ch.watch = nil
+		ch.watch = simnet.Timer{}
 		e.hedgeFire(v, child, ch, deadline)
 	})
 }
@@ -260,7 +258,7 @@ func (e *Engine) hedgeFire(v *vertexState, child ids.ID, ch *childHedge, deadlin
 	v.issued++
 	e.cHedgeIssued.Inc()
 	span := e.o.EmitSpan(v.cause, obs.Event{Kind: obs.KindHedgeIssued,
-		Query: v.key.qid.Short(), EP: int(node.Endpoint()),
+		QID: v.key.qid, EP: int(node.Endpoint()),
 		N: v.issued, V: deadline.Seconds()})
 	msg := &hedgePullMsg{QID: v.key.qid, Vertex: child, Parent: v.key.vertex,
 		Have: v.children[child].Version, ReplyTo: node.Endpoint(), Cause: span}
@@ -360,10 +358,8 @@ func (e *Engine) applyHedgeAck(m *hedgeAckMsg) {
 		return
 	}
 	ch.strikes = 0
-	if ch.watch != nil {
-		ch.watch.Cancel()
-		ch.watch = nil
-	}
+	ch.watch.Cancel()
+	ch.watch = simnet.Timer{}
 }
 
 // armReassert (re)starts the upward re-assertion ladder after a remote
@@ -373,16 +369,14 @@ func (e *Engine) applyHedgeAck(m *hedgeAckMsg) {
 // from, which is exactly what a correlated burst that kills a subtree's
 // first forward (and its replication deltas) produces.
 func (e *Engine) armReassert(v *vertexState) {
-	if v.reassert != nil {
-		v.reassert.Cancel()
-		v.reassert = nil
-	}
+	v.reassert.Cancel()
+	v.reassert = simnet.Timer{}
 	if !e.hedging() || v.reassertN >= hedgeReassertMax {
 		return
 	}
 	delay := hedgeMinDeadline << uint(v.reassertN)
 	v.reassert = e.host.PastryNode().Sched().After(delay, func() {
-		v.reassert = nil
+		v.reassert = simnet.Timer{}
 		e.reassertFire(v)
 	})
 }
@@ -410,19 +404,15 @@ func (e *Engine) reassertFire(v *vertexState) {
 // takeover, and loss of the primary role. Timer cleanup here is what the
 // no-leaked-timers tests assert.
 func (e *Engine) clearHedge(v *vertexState) {
-	if v.reassert != nil {
-		v.reassert.Cancel()
-		v.reassert = nil
-	}
+	v.reassert.Cancel()
+	v.reassert = simnet.Timer{}
 	v.reassertN = 0
 	if v.hedge == nil {
 		return
 	}
 	for _, ch := range v.hedge {
-		if ch.watch != nil {
-			ch.watch.Cancel()
-			ch.watch = nil
-		}
+		ch.watch.Cancel()
+		ch.watch = simnet.Timer{}
 	}
 	v.hedge = nil
 	v.hedgeRNG = nil
@@ -435,11 +425,11 @@ func (e *Engine) clearHedge(v *vertexState) {
 func (e *Engine) HedgeTimers() int {
 	n := 0
 	for _, v := range e.vertices {
-		if v.reassert != nil {
+		if v.reassert != (simnet.Timer{}) {
 			n++
 		}
 		for _, ch := range v.hedge {
-			if ch.watch != nil {
+			if ch.watch != (simnet.Timer{}) {
 				n++
 			}
 		}
@@ -453,7 +443,7 @@ func (e *Engine) HedgeTimers() int {
 func (e *Engine) ResubmitTimers() int {
 	n := 0
 	for _, st := range e.resubmit {
-		if st.timer != nil {
+		if st.timer != (simnet.Timer{}) {
 			n++
 		}
 	}

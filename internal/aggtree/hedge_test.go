@@ -247,7 +247,7 @@ func TestHedgeAckStandsDownWatch(t *testing.T) {
 	if c.counter("aggtree_hedge_acks") != ackedBefore+1 {
 		t.Fatal("current child primary did not ack the hedge pull")
 	}
-	if ch.watch != nil {
+	if ch.watch != (simnet.Timer{}) {
 		t.Fatal("ack did not disarm the hedge watch")
 	}
 	if ch.strikes != 0 {

@@ -420,16 +420,16 @@ func observeCompleteness(cfg CompletenessStudyConfig, query *relq.Query,
 	if o == nil {
 		return
 	}
-	qid := dissem.QueryID(query, injectAt).Short()
+	qid := dissem.QueryID(query, injectAt)
 	total := res.Predicted.ExpectedTotal()
 
-	o.EmitAt(injectAt, obs.Event{Kind: obs.KindInject, Query: qid, EP: -1})
-	o.EmitAt(injectAt, obs.Event{Kind: obs.KindPredict, Query: qid, EP: -1, V: total})
+	o.EmitAt(injectAt, obs.Event{Kind: obs.KindInject, QID: qid, EP: -1})
+	o.EmitAt(injectAt, obs.Event{Kind: obs.KindPredict, QID: qid, EP: -1, V: total})
 	for i, d := range res.arrivalDelays {
-		o.EmitAt(injectAt+d, obs.Event{Kind: obs.KindPartial, Query: qid,
+		o.EmitAt(injectAt+d, obs.Event{Kind: obs.KindPartial, QID: qid,
 			EP: -1, N: int64(i + 1), V: res.arrivalCum[i]})
 	}
-	o.EmitAt(injectAt+cfg.Lifetime, obs.Event{Kind: obs.KindComplete, Query: qid,
+	o.EmitAt(injectAt+cfg.Lifetime, obs.Event{Kind: obs.KindComplete, QID: qid,
 		EP: -1, N: int64(len(res.arrivalDelays))})
 
 	if len(res.arrivalDelays) > 0 {

@@ -56,11 +56,11 @@ type Node struct {
 	feed       *anemone.Streamer
 	feedDS     *anemone.Dataset
 	feedPeriod time.Duration
-	feedTimer  *simnet.Timer
+	feedTimer  simnet.Timer
 
 	// continuousPeriod is the re-execution period for standing queries.
 	continuousPeriod time.Duration
-	contTimers       map[ids.ID]*simnet.Timer
+	contTimers       map[ids.ID]simnet.Timer
 }
 
 // NodeConfig bundles the per-subsystem configurations of a Seaweed node.
@@ -98,7 +98,7 @@ func NewNode(ring *pastry.Ring, ep simnet.Endpoint, id ids.ID,
 		prevLeaf:         make(map[simnet.Endpoint]bool),
 		executed:         make(map[ids.ID]bool),
 		lastSubmitted:    make(map[ids.ID]agg.Partial),
-		contTimers:       make(map[ids.ID]*simnet.Timer),
+		contTimers:       make(map[ids.ID]simnet.Timer),
 		continuousPeriod: cfg.ContinuousPeriod,
 	}
 	// Every endsystem table shares the cluster-wide executor counters
@@ -203,14 +203,14 @@ func (n *Node) executeAndSubmit(qid ids.ID, q *relq.Query, injector simnet.Endpo
 			return
 		}
 	}
-	span := n.pn.Ring().Obs().EmitSpan(cause, obs.Event{Kind: kind, Query: qid.Short(),
+	span := n.pn.Ring().Obs().EmitSpan(cause, obs.Event{Kind: kind, QID: qid,
 		EP: int(n.pn.Endpoint())})
 	if !n.runLocal(qid, q, injector, span) {
 		return
 	}
 	if q.Continuous && n.continuousPeriod > 0 {
 		sched := n.pn.Sched()
-		var timer *simnet.Timer
+		var timer simnet.Timer
 		timer = sched.Every(n.continuousPeriod, func() {
 			if !n.tree.IsActive(qid) {
 				timer.Cancel()
@@ -368,7 +368,7 @@ func (n *Node) GoUp() {
 	for _, t := range n.contTimers {
 		t.Cancel()
 	}
-	n.contTimers = make(map[ids.ID]*simnet.Timer)
+	n.contTimers = make(map[ids.ID]simnet.Timer)
 	// resultSinks survive the restart: the querying user re-attaches when
 	// their endsystem returns, and the root vertex keeps sending
 	// incremental results to the injector endpoint.
@@ -438,16 +438,16 @@ func (n *Node) GoDown() {
 	}
 	n.downAt = n.now()
 	n.everDown = true
-	if n.feedTimer != nil {
+	if n.feedTimer != (simnet.Timer{}) {
 		// Flush the rows produced since the last tick, then stop.
 		n.feedTick()
 		n.feedTimer.Cancel()
-		n.feedTimer = nil
+		n.feedTimer = simnet.Timer{}
 	}
 	for _, t := range n.contTimers {
 		t.Cancel()
 	}
-	n.contTimers = make(map[ids.ID]*simnet.Timer)
+	n.contTimers = make(map[ids.ID]simnet.Timer)
 	n.meta.Deactivate()
 	n.pn.Stop()
 }

@@ -140,7 +140,7 @@ type pendingInject struct {
 	query       *relq.Query
 	attempts    int
 	lastTimeout time.Duration
-	timer       *simnet.Timer
+	timer       simnet.Timer
 	span        uint64 // span of the latest inject/retry event
 }
 
@@ -183,9 +183,7 @@ func (e *Engine) scoped(q *relq.Query) bool {
 // retry timers recognize the replaced maps and fall through.
 func (e *Engine) Reset() {
 	for _, p := range e.waiting {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		p.timer.Cancel()
 	}
 	e.tasks = make(map[taskKey]*task)
 	e.waiting = make(map[ids.ID]*pendingInject)
@@ -222,7 +220,7 @@ func (e *Engine) Inject(q *relq.Query, cause uint64, onPredictor func(*predictor
 		// decision must see the same snapshot.
 		e.cfg.Coords.BeginScope(qid, node.Endpoint(), q.RTTScope)
 	}
-	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, Query: qid.Short(), EP: int(node.Endpoint())})
+	p.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindInject, QID: qid, EP: int(node.Endpoint())})
 	msg := &startMsg{QueryID: qid, Query: q, Injector: node.Endpoint(), Cause: p.span}
 	node.Route(qid, msg, startMsgSize(q), simnet.ClassQuery)
 	e.armInjectRetry(qid, p)
@@ -240,7 +238,7 @@ func (e *Engine) armInjectRetry(qid ids.ID, p *pendingInject) {
 	node := e.host.PastryNode()
 	if p.attempts > 2*e.cfg.MaxRetries {
 		e.cGiveups.Inc()
-		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, Query: qid.Short(),
+		e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemGiveup, QID: qid,
 			EP: int(node.Endpoint()), N: int64(p.attempts), V: 1.0})
 		return
 	}
@@ -252,7 +250,7 @@ func (e *Engine) armInjectRetry(qid ids.ID, p *pendingInject) {
 		}
 		p.attempts++
 		e.cReissues.Inc()
-		p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, Query: qid.Short(),
+		p.span = e.o.EmitSpan(p.span, obs.Event{Kind: obs.KindDissemRetry, QID: qid,
 			EP: int(node.Endpoint()), N: int64(p.attempts)})
 		msg := &startMsg{QueryID: qid, Query: p.query, Injector: node.Endpoint(), Cause: p.span}
 		node.Route(qid, msg, startMsgSize(p.query), simnet.ClassQuery)
@@ -321,10 +319,10 @@ type predictorMsg struct {
 
 // TraceQuery implements pastry.Traced, attributing routing events for
 // dissemination traffic to the query's trace.
-func (m *startMsg) TraceQuery() string     { return m.QueryID.Short() }
-func (m *rangeMsg) TraceQuery() string     { return m.QueryID.Short() }
-func (m *rangeResp) TraceQuery() string    { return m.QueryID.Short() }
-func (m *predictorMsg) TraceQuery() string { return m.QueryID.Short() }
+func (m *startMsg) TraceQuery() ids.ID     { return m.QueryID }
+func (m *rangeMsg) TraceQuery() ids.ID     { return m.QueryID }
+func (m *rangeResp) TraceQuery() ids.ID    { return m.QueryID }
+func (m *predictorMsg) TraceQuery() ids.ID { return m.QueryID }
 
 // TraceSpan implements pastry.TracedSpan, chaining per-hop routing
 // events (verbose traces) onto the sender's causal span.
@@ -347,7 +345,7 @@ type subrange struct {
 	retries     int
 	sentAt      time.Duration // when the latest request went out
 	lastTimeout time.Duration // timeout armed for the latest request
-	timer       *simnet.Timer
+	timer       simnet.Timer
 	cause       uint64 // span of the latest send/retry event for this subrange
 }
 
@@ -391,12 +389,10 @@ func (e *Engine) HandleMessage(from simnet.Endpoint, payload any) bool {
 	case *predictorMsg:
 		if p, ok := e.waiting[m.QueryID]; ok {
 			delete(e.waiting, m.QueryID)
-			if p.timer != nil {
-				p.timer.Cancel()
-			}
+			p.timer.Cancel()
 			node := e.host.PastryNode()
 			e.hPredLat.ObserveDuration(node.Sched().Now() - p.at)
-			e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPredict, Query: m.QueryID.Short(),
+			e.o.EmitSpan(m.Cause, obs.Event{Kind: obs.KindPredict, QID: m.QueryID,
 				EP: int(node.Endpoint()), V: m.Pred.ExpectedTotal()})
 			if p.cb != nil {
 				p.cb(m.Pred)
@@ -433,7 +429,7 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		return
 	}
 	t := &task{key: key, query: q, parents: []simnet.Endpoint{parent}, injector: injector}
-	t.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, Query: qid.Short(),
+	t.span = e.o.EmitSpan(cause, obs.Event{Kind: obs.KindDisseminate, QID: qid,
 		EP: int(e.host.PastryNode().Endpoint())})
 	t.respCause = t.span
 	e.tasks[key] = t
@@ -508,12 +504,7 @@ func (e *Engine) observe(qid ids.ID, q *relq.Query, injector simnet.Endpoint, ca
 // live neighbors on both sides lie outside the range, no other live node
 // can be inside it.
 func (e *Engine) aloneInRange(lo, hi ids.ID) bool {
-	for _, m := range e.host.PastryNode().Leafset() {
-		if m.ID.InRange(lo, hi) {
-			return false
-		}
-	}
-	return true
+	return !e.host.PastryNode().LeafInRange(lo, hi)
 }
 
 // contributeLocal adds this node's own predictor (when in range) and the
@@ -543,7 +534,7 @@ func (e *Engine) contributeLocal(t *task, lo, hi ids.ID) {
 		}
 		e.cOnBehalf.Inc()
 		if e.o.Detail() {
-			e.o.EmitSpanDetail(t.span, obs.Event{Kind: obs.KindOnBehalf, Query: t.key.qid.Short(),
+			e.o.EmitSpanDetail(t.span, obs.Event{Kind: obs.KindOnBehalf, QID: t.key.qid,
 				EP: int(node.Endpoint()), V: rows})
 		}
 		t.acc.AddModel(rec.Model, now, rec.DownSince, rows)
@@ -711,10 +702,10 @@ func (e *Engine) subrangeTimeout(t *task, s *subrange) {
 		s.done = true
 		t.open--
 		e.cAbandoned.Inc()
-		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, Query: t.key.qid.Short(),
+		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, QID: t.key.qid,
 			EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries)})
 		e.cGiveups.Inc()
-		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, Query: t.key.qid.Short(),
+		e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemGiveup, QID: t.key.qid,
 			EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries),
 			V: rangeFraction(s.lo, s.hi)})
 		e.maybeFinish(t)
@@ -722,7 +713,7 @@ func (e *Engine) subrangeTimeout(t *task, s *subrange) {
 	}
 	s.retries++
 	e.cReissues.Inc()
-	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, Query: t.key.qid.Short(),
+	s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemRetry, QID: t.key.qid,
 		EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries)})
 	e.sendSubrange(t, s)
 }
@@ -742,9 +733,7 @@ func (e *Engine) handleResp(m *rangeResp) {
 					return // duplicate: counted exactly once
 				}
 				s.done = true
-				if s.timer != nil {
-					s.timer.Cancel()
-				}
+				s.timer.Cancel()
 				if s.retries == 0 && !s.local {
 					// Karn's rule: only unretried responses are unambiguous
 					// latency samples.

@@ -135,7 +135,7 @@ type geState struct {
 	inj   Injection
 	index int
 	bad   bool
-	flip  *simnet.Timer
+	flip  simnet.Timer
 }
 
 // Injector schedules a Scenario's injections on the virtual clock and
@@ -192,26 +192,26 @@ type Injector struct {
 func NewInjector(net *simnet.Network, scenario Scenario, seed int64) *Injector {
 	o := net.Obs()
 	return &Injector{
-		sched:     net.Scheduler(),
-		net:       net,
-		topo:      net.Topology(),
-		scenario:  scenario,
-		rngGE:     rand.New(rand.NewSource(runner.SplitSeed(seed, streamGE))),
-		rngJitter: rand.New(rand.NewSource(runner.SplitSeed(seed, streamJitter))),
-		rngDup:    rand.New(rand.NewSource(runner.SplitSeed(seed, streamDup))),
+		sched:      net.Scheduler(),
+		net:        net,
+		topo:       net.Topology(),
+		scenario:   scenario,
+		rngGE:      rand.New(rand.NewSource(runner.SplitSeed(seed, streamGE))),
+		rngJitter:  rand.New(rand.NewSource(runner.SplitSeed(seed, streamJitter))),
+		rngDup:     rand.New(rand.NewSource(runner.SplitSeed(seed, streamDup))),
 		cut:        make(map[int]bool),
 		jitters:    make(map[int]time.Duration),
 		spikes:     make(map[int]time.Duration),
 		dups:       make(map[int]float64),
 		slows:      make(map[int]Injection),
 		slowRegion: make(map[int]time.Duration),
-		report:    Report{Scenario: scenario.Name, Seed: seed},
-		o:         o,
-		cDrops:    o.Counter("fault_drops"),
-		cDups:     o.Counter("fault_dup_msgs"),
-		cInject:   o.Counter("fault_injections"),
-		cHeals:    o.Counter("fault_heals"),
-		cCrashes:  o.Counter("fault_crashes"),
+		report:     Report{Scenario: scenario.Name, Seed: seed},
+		o:          o,
+		cDrops:     o.Counter("fault_drops"),
+		cDups:      o.Counter("fault_dup_msgs"),
+		cInject:    o.Counter("fault_injections"),
+		cHeals:     o.Counter("fault_heals"),
+		cCrashes:   o.Counter("fault_crashes"),
 	}
 }
 
@@ -386,9 +386,7 @@ func (inj *Injector) heal(i int) {
 	case BurstLoss:
 		for k, g := range inj.bursts {
 			if g.index == i {
-				if g.flip != nil {
-					g.flip.Cancel()
-				}
+				g.flip.Cancel()
 				inj.bursts = append(inj.bursts[:k], inj.bursts[k+1:]...)
 				break
 			}

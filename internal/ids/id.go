@@ -103,8 +103,15 @@ func (id ID) String() string {
 	return hex.EncodeToString(id.ToBytes())
 }
 
-// Short returns the first 8 hex digits of the ID, for compact logging.
-func (id ID) Short() string { return id.String()[:8] }
+// Short returns the first 8 hex digits of the ID, for compact logging. It
+// hex-encodes only the top 4 bytes, so the string is its one allocation.
+func (id ID) Short() string {
+	var src [4]byte
+	binary.BigEndian.PutUint32(src[:], uint32(id.Hi>>32))
+	var dst [8]byte
+	hex.Encode(dst[:], src[:])
+	return string(dst[:])
+}
 
 // Cmp compares two IDs as 128-bit unsigned integers, returning -1, 0 or +1.
 func (id ID) Cmp(other ID) int {

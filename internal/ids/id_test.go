@@ -288,3 +288,12 @@ func TestNot(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestShortIsStringPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, id := range append(RandomN(rng, 1000), ID{}, MaxID) {
+		if got, want := id.Short(), id.String()[:8]; got != want {
+			t.Fatalf("%v: Short() = %q, want %q", id, got, want)
+		}
+	}
+}

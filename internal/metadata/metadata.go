@@ -110,11 +110,12 @@ type Service struct {
 	own      *Record
 	store    map[ids.ID]*Record
 	prevLeaf map[ids.ID]pastry.NodeRef
-	ticker   *simnet.Timer
+	ticker   simnet.Timer
 	// lastPushed tracks, per replica member, the summary version most
 	// recently sent to it, the base for delta-encoded pushes.
 	lastPushed map[ids.ID]*relq.Summary
-	// scratch is the reusable replica-set buffer for pushOwn.
+	// scratch is the reusable replica-set buffer of pushOwn and
+	// localReplicaSet; neither runs while the other's result is live.
 	scratch []pastry.NodeRef
 
 	// Observability handles, cached at construction (nil-safe no-ops when
@@ -191,10 +192,8 @@ func (s *Service) Activate() {
 // across the subject's downtime; a node that crashes and returns keeps its
 // persisted store, per the paper's persistent replica-set state.
 func (s *Service) Deactivate() {
-	if s.ticker != nil {
-		s.ticker.Cancel()
-		s.ticker = nil
-	}
+	s.ticker.Cancel()
+	s.ticker = simnet.Timer{}
 }
 
 // pushOwn replicates this endsystem's metadata to its replica set. With
@@ -311,7 +310,7 @@ func (s *Service) HandleLeafsetChanged() {
 		for _, rec := range s.sortedRecords() {
 			rs := s.localReplicaSet(rec.Subject, s.cfg.K)
 			for _, a := range added {
-				if _, in := rs[a.ID]; in {
+				if contains(rs, a.ID) {
 					s.cRerepl.Inc()
 					s.o.EmitDetail(obs.Event{Kind: obs.KindMetaRereplicate,
 						EP: int(s.node.Endpoint())})
@@ -322,7 +321,7 @@ func (s *Service) HandleLeafsetChanged() {
 		if s.own != nil && s.node.Alive() {
 			rs := s.localReplicaSet(s.own.Subject, s.cfg.K)
 			for _, a := range added {
-				if _, in := rs[a.ID]; in {
+				if contains(rs, a.ID) {
 					s.send(a, s.own)
 				}
 			}
@@ -353,27 +352,36 @@ func (s *Service) sortedRecords() []*Record {
 }
 
 // localReplicaSet computes, from local knowledge (leafset ∪ self), the k
-// nodes closest to subject.
-func (s *Service) localReplicaSet(subject ids.ID, k int) map[ids.ID]pastry.NodeRef {
-	cands := append(s.node.Leafset(), s.node.Ref())
+// nodes closest to subject. The result aliases the service's scratch
+// buffer and is valid until its next use: callers only test membership
+// and send, and Network.Send only schedules, so nothing re-enters the
+// service while it is live.
+func (s *Service) localReplicaSet(subject ids.ID, k int) []pastry.NodeRef {
+	s.scratch = append(s.node.AppendLeafset(s.scratch[:0]), s.node.Ref())
+	cands := s.scratch
 	slices.SortFunc(cands, func(a, b pastry.NodeRef) int {
 		return subject.AbsDistance(a.ID).Cmp(subject.AbsDistance(b.ID))
 	})
 	if len(cands) > k {
 		cands = cands[:k]
 	}
-	out := make(map[ids.ID]pastry.NodeRef, len(cands))
-	for _, c := range cands {
-		out[c.ID] = c
+	return cands
+}
+
+// contains reports whether id is a member of set.
+func contains(set []pastry.NodeRef, id ids.ID) bool {
+	for _, m := range set {
+		if m.ID == id {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // withinLocalClosest reports whether this node is among the k locally
 // closest nodes to subject.
 func (s *Service) withinLocalClosest(subject ids.ID, k int) bool {
-	_, in := s.localReplicaSet(subject, k)[s.node.ID()]
-	return in
+	return contains(s.localReplicaSet(subject, k), s.node.ID())
 }
 
 // Lookup returns the stored record for an endsystem, or nil.

@@ -598,9 +598,10 @@ func (o *Obs) Tracer() *Tracer {
 func (o *Obs) Tracing() bool { return o != nil && o.tr != nil }
 
 // Detail reports whether detail (verbose) trace events would be
-// recorded. Hot paths check it before building an EmitDetail argument:
-// the Event literal itself (query-ID formatting in particular) allocates,
-// and evaluating it on every routed message dominates untraced runs.
+// recorded. Per-hop and maintenance sites check it before building an
+// EmitDetail argument, so an untraced run skips even evaluating it on
+// every routed message. Building an Event never allocates by itself: the
+// query label is formatted from QID only when the tracer records it.
 func (o *Obs) Detail() bool { return o != nil && o.tr != nil && o.tr.Verbose }
 
 // BindClock installs the virtual clock used to timestamp trace events.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/ids"
 )
 
 // Kind labels a trace event with the lifecycle stage or protocol action it
@@ -148,9 +150,11 @@ const (
 
 // Event is one typed span event. T is virtual time since the start of the
 // simulation run. Query is the short hex queryId for query-scoped events
-// ("" otherwise). EP is the endpoint at which the event happened (-1 when
-// no single endpoint applies). N and V carry the kind-specific count and
-// value documented on each Kind.
+// ("" otherwise). Instrumentation sites set QID instead and leave Query
+// empty: Tracer.Record formats the label only for events it records, so
+// an untraced run never pays for it. EP is the endpoint at which the
+// event happened (-1 when no single endpoint applies). N and V carry the
+// kind-specific count and value documented on each Kind.
 //
 // Span and Parent link events into a causal tree: Span is this event's
 // unique id within the trace (allocated by Obs.EmitSpan, 0 when the event
@@ -163,6 +167,7 @@ type Event struct {
 	T      time.Duration `json:"t"`
 	Kind   Kind          `json:"kind"`
 	Query  string        `json:"query,omitempty"`
+	QID    ids.ID        `json:"-"`
 	EP     int           `json:"ep"`
 	N      int64         `json:"n,omitempty"`
 	V      float64       `json:"v,omitempty"`
@@ -185,11 +190,16 @@ type Tracer struct {
 // NewTracer returns a tracer writing to sink.
 func NewTracer(sink Sink) *Tracer { return &Tracer{sink: sink} }
 
-// Record forwards one event to the sink.
+// Record forwards one event to the sink, first filling an empty Query
+// label from a non-zero QID.
 func (t *Tracer) Record(ev Event) {
-	if t != nil && t.sink != nil {
-		t.sink.Record(ev)
+	if t == nil || t.sink == nil {
+		return
 	}
+	if ev.Query == "" && !ev.QID.IsZero() {
+		ev.Query = ev.QID.Short()
+	}
+	t.sink.Record(ev)
 }
 
 // RingSink retains the last capacity events in memory.

@@ -51,7 +51,7 @@ type Node struct {
 	OnReady func()
 
 	joining   bool
-	joinRetry *simnet.Timer
+	joinRetry simnet.Timer
 }
 
 // ID returns the node's endsystemId.
@@ -76,11 +76,27 @@ func (n *Node) Ref() NodeRef { return NodeRef{ID: n.id, EP: n.ep} }
 // Alive reports whether the node is currently up.
 func (n *Node) Alive() bool { return n.alive }
 
-// Leafset returns the node's current leafset members.
+// Leafset returns a copy of the node's current leafset members. Hot paths
+// that only read the leafset use LeafInRange or AppendLeafset instead.
 func (n *Node) Leafset() []NodeRef {
 	out := make([]NodeRef, len(n.leaf))
 	copy(out, n.leaf)
 	return out
+}
+
+// AppendLeafset appends the node's current leafset members to dst and
+// returns the extended slice, so callers can reuse a scratch buffer.
+func (n *Node) AppendLeafset(dst []NodeRef) []NodeRef { return append(dst, n.leaf...) }
+
+// LeafInRange reports whether any leafset member lies in the inclusive
+// namespace range [lo, hi].
+func (n *Node) LeafInRange(lo, hi ids.ID) bool {
+	for _, m := range n.leaf {
+		if m.ID.InRange(lo, hi) {
+			return true
+		}
+	}
+	return false
 }
 
 // AppendKnownInRange appends the nodes this node's own routing state —
@@ -298,10 +314,8 @@ func (n *Node) Stop() {
 	n.ring.setAlive(n, false)
 	n.ring.noteLeft(n, ref)
 	n.joining = false
-	if n.joinRetry != nil {
-		n.joinRetry.Cancel()
-		n.joinRetry = nil
-	}
+	n.joinRetry.Cancel()
+	n.joinRetry = simnet.Timer{}
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
 	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, n.ring.cfg.LeafsetHalf)
@@ -338,7 +352,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		// repeatedly masked routing-loop bugs.
 		n.ring.cHopDrops.Inc()
 		n.ring.o.EmitSpan(env.span, obs.Event{Kind: obs.KindRouteDrop,
-			Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
+			QID: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		if n.ring.cfg.DebugLog {
 			log.Printf("pastry: dropped route to %s at ep %d: hop limit %d exceeded",
 				env.Key.Short(), n.ep, maxHops)
@@ -351,7 +365,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		n.ring.hHops.Observe(int64(env.Hops))
 		if n.ring.o.Detail() {
 			n.ring.o.EmitSpanDetail(env.span, obs.Event{Kind: obs.KindRouteDeliver,
-				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
+				QID: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		key, payload := env.Key, env.Payload
 		n.ring.putEnv(n.shard, env)
@@ -367,7 +381,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		n.ring.cStale.Inc()
 		if n.ring.o.Detail() {
 			env.span = n.ring.o.EmitSpanDetail(env.span, obs.Event{Kind: obs.KindRouteRetry,
-				Query: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
+				QID: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		n.ring.net.AccountAggregate(n.ep, env.Class, size, 0)
 		n.sched.After(n.ring.cfg.RetryTimeout, func() {
@@ -769,10 +783,8 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 		return // duplicate or stale reply
 	}
 	n.joining = false
-	if n.joinRetry != nil {
-		n.joinRetry.Cancel()
-		n.joinRetry = nil
-	}
+	n.joinRetry.Cancel()
+	n.joinRetry = simnet.Timer{}
 	n.setLeafset(reply.Leafset)
 	n.rows = nil
 	for _, ref := range reply.Rows {

@@ -106,17 +106,18 @@ type Application interface {
 // observability layer uses it to attribute routing events (per-hop
 // deliveries, retries, hop-limit drops) to the query's trace.
 type Traced interface {
-	// TraceQuery returns the query's trace label.
-	TraceQuery() string
+	// TraceQuery returns the query's id; the tracer formats its label
+	// only when an event is recorded.
+	TraceQuery() ids.ID
 }
 
-// traceQuery returns the trace label of a payload, or "" for untraced
-// payloads.
-func traceQuery(payload any) string {
+// traceQuery returns the query id of a payload, or the zero id (no label)
+// for untraced payloads.
+func traceQuery(payload any) ids.ID {
 	if t, ok := payload.(Traced); ok {
 		return t.TraceQuery()
 	}
-	return ""
+	return ids.ID{}
 }
 
 // TracedSpan is implemented by routed payloads that carry a causal span:

@@ -216,15 +216,15 @@ func TestVectorizedEdgeCases(t *testing.T) {
 	tbl.BuildSummary()
 	now := int64(500_000)
 	for _, sql := range []string{
-		"SELECT COUNT(*) FROM T",                                // no preds, no scan
-		"SELECT SUM(v) FROM T",                                  // no preds, full-column kernel
-		"SELECT AVG(v) FROM T WHERE ts >= 999999999",            // all blocks pruned
-		"SELECT SUM(v) FROM T WHERE ts >= 0",                    // zoneAll everywhere: no kernel runs
-		"SELECT SUM(v) FROM T WHERE ts >= 2048 AND ts < 4096",   // exact block boundaries
-		"SELECT MIN(v) FROM T WHERE ts > 6000",                  // partial tail block only
-		"SELECT MAX(v) FROM T WHERE app = 'alpha'",              // hash-equality, unprunable
+		"SELECT COUNT(*) FROM T",                                                          // no preds, no scan
+		"SELECT SUM(v) FROM T",                                                            // no preds, full-column kernel
+		"SELECT AVG(v) FROM T WHERE ts >= 999999999",                                      // all blocks pruned
+		"SELECT SUM(v) FROM T WHERE ts >= 0",                                              // zoneAll everywhere: no kernel runs
+		"SELECT SUM(v) FROM T WHERE ts >= 2048 AND ts < 4096",                             // exact block boundaries
+		"SELECT MIN(v) FROM T WHERE ts > 6000",                                            // partial tail block only
+		"SELECT MAX(v) FROM T WHERE app = 'alpha'",                                        // hash-equality, unprunable
 		"SELECT COUNT(*) FROM T WHERE app <> 'alpha' AND v < 250 AND ts < NOW() - 497952", // 3-conjunct refine
-		"SELECT SUM(v) FROM T WHERE v > 5000",                   // kernels run, zero matches
+		"SELECT SUM(v) FROM T WHERE v > 5000",                                             // kernels run, zero matches
 	} {
 		p, err := tbl.Bind(MustParse(sql))
 		if err != nil {

@@ -11,7 +11,9 @@
 // occupancy tracked in a bitmap) with a binary-heap overflow level for
 // far-future events, and all events are pooled structs rather than
 // closures: the steady-state simulation path performs no allocation per
-// message delivery or per periodic-timer firing.
+// message delivery or per periodic-timer firing. Timer handles are values
+// (event pointer plus timer identity), so scheduling a one-shot timer with
+// a prebuilt callback allocates nothing either.
 package simnet
 
 import (
@@ -84,11 +86,11 @@ type Scheduler interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
 	// At schedules fn at absolute virtual time at (clamped to now).
-	At(at time.Duration, fn func()) *Timer
+	At(at time.Duration, fn func()) Timer
 	// After schedules fn d after the current virtual time.
-	After(d time.Duration, fn func()) *Timer
+	After(d time.Duration, fn func()) Timer
 	// Every schedules fn every period until the Timer is canceled.
-	Every(period time.Duration, fn func()) *Timer
+	Every(period time.Duration, fn func()) Timer
 	// Pending returns the number of queued events (including lazily
 	// canceled ones).
 	Pending() int
@@ -428,42 +430,42 @@ func sortEvents(evs []*event) {
 // ------------------------------------------------------------------ timers
 
 // Timer is a handle to a scheduled event (or repeating event), usable to
-// cancel it before it fires. Events are pooled, so the handle carries the
-// timer identity it was issued for and becomes inert once the event fires
-// or is recycled.
+// cancel it before it fires. It is a small value, so scheduling allocates
+// no handle even when the caller keeps it; the zero Timer refers to
+// nothing. Events are pooled, so the handle carries the timer identity it
+// was issued for: Cancel acts only while the event still bears that
+// identity. A wheel's identities only increase and recycling clears them,
+// so a stale copy can never cancel a later timer that reuses the event.
 type Timer struct {
-	ev      *event
-	tid     uint64
-	stopped bool
+	ev  *event
+	tid uint64
 }
 
 // Cancel prevents the timer's event from firing (and, for repeating timers,
-// stops all future firings). Canceling an already-fired one-shot timer or an
-// already-canceled timer is a no-op returning false.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.stopped {
+// stops all future firings), reporting whether it did. Canceling the
+// zero Timer, an already-fired one-shot timer or an already-canceled
+// timer (through any copy of the handle) is a no-op returning false.
+func (t Timer) Cancel() bool {
+	if t.ev == nil || t.ev.tid != t.tid {
 		return false
 	}
-	t.stopped = true
-	if t.ev != nil && t.ev.tid == t.tid {
-		t.ev.kind = evNone // the queue lazily discards canceled events
-	}
-	t.ev = nil
+	t.ev.tid = 0
+	t.ev.kind = evNone // the queue lazily discards canceled events
 	return true
 }
 
-// newTimer wraps a scheduled event in a cancel handle, branding the event
-// with a fresh timer identity.
-func (s *Wheel) newTimer(ev *event) *Timer {
+// newTimer brands a scheduled event with a fresh timer identity and
+// returns its cancel handle.
+func (s *Wheel) newTimer(ev *event) Timer {
 	s.tids++
 	ev.tid = s.tids
-	return &Timer{ev: ev, tid: s.tids}
+	return Timer{ev: ev, tid: s.tids}
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (or present) runs the event at the current time, after all events already
 // scheduled for that time.
-func (s *Wheel) At(at time.Duration, fn func()) *Timer {
+func (s *Wheel) At(at time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("simnet: At called with nil fn")
 	}
@@ -479,7 +481,7 @@ func (s *Wheel) At(at time.Duration, fn func()) *Timer {
 }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Wheel) After(d time.Duration, fn func()) *Timer {
+func (s *Wheel) After(d time.Duration, fn func()) Timer {
 	return s.At(s.now+d, fn)
 }
 
@@ -488,7 +490,7 @@ func (s *Wheel) After(d time.Duration, fn func()) *Timer {
 // re-armed after each firing (with a fresh sequence number, preserving
 // FIFO fairness among same-time events), so the steady-state tick chain
 // allocates nothing. Cancel takes effect at the next period boundary.
-func (s *Wheel) Every(period time.Duration, fn func()) *Timer {
+func (s *Wheel) Every(period time.Duration, fn func()) Timer {
 	if period <= 0 {
 		panic(fmt.Sprintf("simnet: Every with non-positive period %v", period))
 	}

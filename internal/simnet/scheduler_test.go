@@ -91,7 +91,7 @@ func TestTimerCancel(t *testing.T) {
 func TestEvery(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	var tm *Timer
+	var tm Timer
 	tm = s.Every(time.Second, func() {
 		count++
 		if count == 5 {
@@ -179,7 +179,7 @@ func TestSchedulerRejectsConcurrentDrivers(t *testing.T) {
 func TestEveryCancelFromWithinTick(t *testing.T) {
 	s := NewScheduler()
 	fires := 0
-	var tm *Timer
+	var tm Timer
 	tm = s.Every(time.Second, func() {
 		fires++
 		if fires == 3 {
