@@ -56,9 +56,10 @@ shard-smoke:
 	SEAWEED_SHARD_SMOKE=1 $(GO) test -run TestShardedMillionSmoke -v -timeout 60m .
 
 # bench-smoke is the CI benchmark gate: one iteration of the engine
-# benchmark. It fails on build errors and panics, never on timing.
+# benchmark. It fails on build errors, panics, and allocs/event above
+# 1.05x the value committed in BENCH_cluster.json — never on timing.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkClusterSteadyState -benchtime=1x -benchmem .
+	SEAWEED_ALLOCS_GATE=1 $(GO) test -run '^$$' -bench BenchmarkClusterSteadyState -benchtime=1x -benchmem .
 
 # relq-bench measures per-endsystem scan throughput: the vectorized
 # block-pruned executor vs the pinned row-at-a-time oracle, on a

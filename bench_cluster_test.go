@@ -9,8 +9,10 @@ package seaweed
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -51,7 +53,55 @@ type clusterBenchSummary struct {
 	GOMAXPROCS int                 `json:"gomaxprocs"`
 }
 
+// allocsGateEnv, when set (`make bench-smoke` sets it), turns
+// BenchmarkClusterSteadyState into a regression gate: the run fails if its
+// allocs/event exceeds allocsGateRatio times the committed
+// cluster_steady_state.current.allocs_per_event in BENCH_cluster.json.
+// allocs/event is deterministic, so unlike timing it is safe to gate.
+// `make cluster-bench` leaves it unset, since it refreshes that value.
+const (
+	allocsGateEnv   = "SEAWEED_ALLOCS_GATE"
+	allocsGateRatio = 1.05
+)
+
+// committedClusterAllocs reads the committed allocs/event once per process,
+// before the first benchmark run rewrites BENCH_cluster.json.
+var committedClusterAllocs = sync.OnceValues(func() (float64, error) {
+	data, err := os.ReadFile("BENCH_cluster.json")
+	if err != nil {
+		return 0, err
+	}
+	var entries struct {
+		Steady clusterBenchSummary `json:"cluster_steady_state"`
+	}
+	if err := json.Unmarshal(data, &entries); err != nil {
+		return 0, err
+	}
+	if entries.Steady.Current.AllocsPerEvent <= 0 {
+		return 0, fmt.Errorf("no cluster_steady_state.current.allocs_per_event in BENCH_cluster.json")
+	}
+	return entries.Steady.Current.AllocsPerEvent, nil
+})
+
+// checkAllocsGate fails the benchmark when allocs/event exceeds
+// allocsGateRatio times the committed value, if allocsGateEnv is set.
+func checkAllocsGate(b *testing.B, allocsPerEvent float64) {
+	if os.Getenv(allocsGateEnv) == "" {
+		return
+	}
+	committed, err := committedClusterAllocs()
+	if err != nil {
+		b.Fatalf("allocs/event gate: %v", err)
+	}
+	if limit := allocsGateRatio * committed; allocsPerEvent > limit {
+		b.Fatalf("allocs/event %.4f exceeds %.2f x committed %.4f = %.4f",
+			allocsPerEvent, allocsGateRatio, committed, limit)
+	}
+	b.Logf("allocs/event %.4f within %.2f x committed %.4f", allocsPerEvent, allocsGateRatio, committed)
+}
+
 func BenchmarkClusterSteadyState(b *testing.B) {
+	committedClusterAllocs() // snapshot before this run rewrites the file
 	trace := FarsiteTrace(benchClusterN, benchClusterHorizon, 7)
 	q := MustParseQuery("SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80")
 
@@ -96,6 +146,7 @@ func BenchmarkClusterSteadyState(b *testing.B) {
 	b.ReportMetric(cur.EventsPerSec, "events/sec")
 	b.ReportMetric(cur.NsPerEvent, "ns/event")
 	b.ReportMetric(cur.AllocsPerEvent, "allocs/event")
+	checkAllocsGate(b, cur.AllocsPerEvent)
 
 	if err := writeClusterBench(cur); err != nil {
 		b.Logf("BENCH_cluster.json not written: %v", err)

@@ -270,13 +270,15 @@ func RunChaos(cfg ChaosConfig) *fault.Report {
 	}
 	checker.Check(fault.InvariantMetaConvergence, converged, convDetail)
 
-	totalVertices, orphans := 0, 0
+	totalVertices, orphans, tasks := 0, 0, 0
 	for _, node := range c.Nodes {
 		totalVertices += node.tree.NumVertices()
 		orphans += node.tree.OrphanVertices()
+		tasks += node.dis.NumTasks()
 	}
-	checker.Check(fault.InvariantNoOrphans, totalVertices == 0 && orphans == 0,
-		fmt.Sprintf("%d vertices (%d orphaned) after TTL expiry", totalVertices, orphans))
+	checker.Check(fault.InvariantNoOrphans, totalVertices == 0 && orphans == 0 && tasks == 0,
+		fmt.Sprintf("%d vertices (%d orphaned), %d dissemination tasks after TTL expiry",
+			totalVertices, orphans, tasks))
 
 	checker.VerifyTraceVisibility(report)
 	checker.FillReport(report)

@@ -105,6 +105,16 @@ type Engine struct {
 	host  Host
 	rng   *rand.Rand
 	tasks map[taskKey]*task
+	// unanswered indexes every subrange still awaiting its response by
+	// (queryId, subrange bounds), so a response finds its owning task in
+	// O(1). An entry leaves when the subrange is answered or abandoned.
+	unanswered map[taskKey]*subrange
+	// Finished tasks queue here in finish order. The retention window is
+	// constant, so finish order is deadline order: one timer armed for
+	// the head retires the whole queue, with no closure per task.
+	retireHead, retireTail *task
+	retireTimer            simnet.Timer
+	retireFn               func() // e.retireDue, bound once
 	// waiting holds injector-side callbacks keyed by queryId, with the
 	// injection instant for predictor-latency accounting.
 	waiting map[ids.ID]*pendingInject
@@ -154,13 +164,14 @@ func NewEngine(host Host, cfg Config) *Engine {
 		cfg.Arity = 2
 	}
 	o := host.PastryNode().Ring().Obs()
-	return &Engine{
-		cfg:     cfg,
-		host:    host,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		tasks:   make(map[taskKey]*task),
-		waiting: make(map[ids.ID]*pendingInject),
-		seen:    make(map[ids.ID]bool),
+	e := &Engine{
+		cfg:        cfg,
+		host:       host,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		tasks:      make(map[taskKey]*task),
+		unanswered: make(map[taskKey]*subrange),
+		waiting:    make(map[ids.ID]*pendingInject),
+		seen:       make(map[ids.ID]bool),
 
 		o:          o,
 		cInjects:   o.Counter("dissem_injects"),
@@ -172,6 +183,8 @@ func NewEngine(host Host, cfg Config) *Engine {
 		cPruned:    o.Counter("rttscope_pruned"),
 		hPredLat:   o.DurationHistogram("dissem_predictor_latency_ns"),
 	}
+	e.retireFn = e.retireDue
+	return e
 }
 
 // scoped reports whether q carries an RTT scope the engine can enforce.
@@ -185,11 +198,18 @@ func (e *Engine) Reset() {
 	for _, p := range e.waiting {
 		p.timer.Cancel()
 	}
+	e.retireTimer.Cancel()
+	e.retireHead, e.retireTail = nil, nil
 	e.tasks = make(map[taskKey]*task)
+	e.unanswered = make(map[taskKey]*subrange)
 	e.waiting = make(map[ids.ID]*pendingInject)
 	e.seen = make(map[ids.ID]bool)
 	e.srtt, e.rttvar = 0, 0
 }
+
+// NumTasks reports how many range tasks the engine holds: unfinished ones
+// plus finished ones still inside their re-answer window.
+func (e *Engine) NumTasks() int { return len(e.tasks) }
 
 // QueryID derives the queryId for a query injected at the given virtual
 // time: the hash of the query text and the injection instant, so repeated
@@ -340,6 +360,7 @@ type taskKey struct {
 
 type subrange struct {
 	lo, hi      ids.ID
+	owner       *task
 	local       bool // handled by local recursion, not a network child
 	done        bool
 	retries     int
@@ -355,9 +376,12 @@ type task struct {
 	injector simnet.Endpoint
 	parents  []simnet.Endpoint // usually one; reissues from a new parent add more
 	acc      predictor.Predictor
-	pending  []*subrange
-	open     int
+	open     int // subranges neither answered nor abandoned
 	finished bool
+	// retireAt is when a finished task leaves the engine; nextRetire
+	// links the engine's retirement queue.
+	retireAt   time.Duration
+	nextRetire *task
 	// span is this task's disseminate event; respCause is the span of the
 	// last contribution folded in — the child whose response completed the
 	// fan-in, i.e. the causal parent of the task's own response.
@@ -436,41 +460,30 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 	e.observe(qid, q, injector, t.span)
 
 	node := e.host.PastryNode()
-	self := node.ID()
-
-	if e.aloneInRange(lo, hi) || lo == hi {
-		// Leaf: contribute own rows (if in range) and predict on behalf of
-		// every unavailable endsystem in the range.
+	var subs []*subrange
+	if !e.aloneInRange(lo, hi) && lo != hi {
+		subs = e.splitTask(t)
+	}
+	if len(subs) == 0 {
+		// Leaf (alone in the range, a single id, or every subrange pruned
+		// out of the RTT scope): contribute own rows (if in range) and
+		// predict on behalf of every unavailable endsystem in the range.
 		e.contributeLocal(t, lo, hi)
-		t.finished = true
-		e.respond(t)
+		e.finish(t)
 		return
 	}
 
-	// Split into arity equal subranges. The one containing self recurses
-	// locally (no message); the rest are routed toward their midpoints.
-	// RTT-scoped queries drop subranges whose coordinate bounding balls
-	// prove no member lies within the radius: nothing in-scope is lost
-	// (the ball test is exact), and the completeness predictor never
-	// expects the pruned endsystems.
-	subs := splitRange(lo, hi, e.cfg.Arity)
-	scoped := e.scoped(q)
+	// Index every subrange before the first send: Route can deliver
+	// locally and answer synchronously.
+	t.open = len(subs)
+	for _, s := range subs {
+		e.unanswered[taskKey{qid: qid, lo: s.lo, hi: s.hi}] = s
+	}
 	var selfSub *subrange
 	for _, s := range subs {
-		if scoped && !e.cfg.Coords.RangeInScope(qid, s.lo, s.hi) {
-			e.cPruned.Inc()
-			continue
-		}
-		if self.InRange(s.lo, s.hi) {
-			s.local = true
+		if s.local {
 			selfSub = s
-		}
-		s.cause = t.span
-		t.pending = append(t.pending, s)
-	}
-	t.open = len(t.pending)
-	for _, s := range t.pending {
-		if !s.local {
+		} else {
 			e.sendSubrange(t, s)
 		}
 	}
@@ -480,13 +493,30 @@ func (e *Engine) beginTask(qid ids.ID, q *relq.Query, lo, hi ids.ID, parent, inj
 		// through handleResp.
 		e.beginTask(qid, q, selfSub.lo, selfSub.hi, node.Endpoint(), injector, t.span)
 	}
-	if t.open == 0 {
-		// Degenerate: arity split produced nothing (cannot happen for
-		// lo < hi, but guard anyway).
-		e.contributeLocal(t, lo, hi)
-		t.finished = true
-		e.respond(t)
+}
+
+// splitTask divides the task's range into arity equal subranges, marking
+// the one containing this node for local recursion (no message); the
+// rest are routed toward their midpoints. RTT-scoped queries drop
+// subranges whose coordinate bounding balls prove no member lies within
+// the radius: nothing in-scope is lost (the ball test is exact), and the
+// completeness predictor never expects the pruned endsystems.
+func (e *Engine) splitTask(t *task) []*subrange {
+	self := e.host.PastryNode().ID()
+	scoped := e.scoped(t.query)
+	subs := splitRange(t.key.lo, t.key.hi, e.cfg.Arity)
+	kept := subs[:0]
+	for _, s := range subs {
+		if scoped && !e.cfg.Coords.RangeInScope(t.key.qid, s.lo, s.hi) {
+			e.cPruned.Inc()
+			continue
+		}
+		s.owner = t
+		s.local = self.InRange(s.lo, s.hi)
+		s.cause = t.span
+		kept = append(kept, s)
 	}
+	return kept
 }
 
 // observe triggers the host's local execution exactly once per query.
@@ -699,8 +729,7 @@ func (e *Engine) subrangeTimeout(t *task, s *subrange) {
 		return
 	}
 	if s.retries >= e.cfg.MaxRetries {
-		s.done = true
-		t.open--
+		e.settle(s)
 		e.cAbandoned.Inc()
 		s.cause = e.o.EmitSpan(s.cause, obs.Event{Kind: obs.KindDissemAbandon, QID: t.key.qid,
 			EP: int(e.host.PastryNode().Endpoint()), N: int64(s.retries)})
@@ -719,53 +748,95 @@ func (e *Engine) subrangeTimeout(t *task, s *subrange) {
 }
 
 // handleResp folds a child's aggregated predictor into the parent task.
-// Each subrange appears in exactly one task's pending list, and a done
-// flag makes duplicate responses (from reissued requests) count exactly
-// once.
+// The response index holds each subrange until it is answered or
+// abandoned, so a duplicate response (from a reissued request) or one for
+// an unknown subrange finds nothing and is ignored: each subrange counts
+// exactly once.
 func (e *Engine) handleResp(m *rangeResp) {
-	for _, t := range e.tasks {
-		if t.key.qid != m.QueryID || t.finished {
-			continue
-		}
-		for _, s := range t.pending {
-			if s.lo == m.Lo && s.hi == m.Hi {
-				if s.done {
-					return // duplicate: counted exactly once
-				}
-				s.done = true
-				s.timer.Cancel()
-				if s.retries == 0 && !s.local {
-					// Karn's rule: only unretried responses are unambiguous
-					// latency samples.
-					e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
-				}
-				t.acc.Merge(m.Pred)
-				t.open--
-				// The response that completes the fan-in is the task's
-				// critical child; its span becomes the causal parent of
-				// this task's own response.
-				if m.Cause != 0 {
-					t.respCause = m.Cause
-				}
-				e.maybeFinish(t)
-				return
-			}
-		}
+	s, ok := e.unanswered[taskKey{qid: m.QueryID, lo: m.Lo, hi: m.Hi}]
+	if !ok {
+		return
+	}
+	t := s.owner
+	e.settle(s)
+	s.timer.Cancel()
+	if s.retries == 0 && !s.local {
+		// Karn's rule: only unretried responses are unambiguous latency
+		// samples.
+		e.observeRTT(e.host.PastryNode().Sched().Now() - s.sentAt)
+	}
+	t.acc.Merge(m.Pred)
+	// The response that completes the fan-in is the task's critical
+	// child; its span becomes the causal parent of this task's own
+	// response.
+	if m.Cause != 0 {
+		t.respCause = m.Cause
+	}
+	e.maybeFinish(t)
+}
+
+// settle marks a subrange answered or abandoned and drops it from the
+// response index. A subrange of a task that predates Reset is no longer
+// indexed, and must not evict a same-key subrange of a newer task.
+func (e *Engine) settle(s *subrange) {
+	s.done = true
+	s.owner.open--
+	key := taskKey{qid: s.owner.key.qid, lo: s.lo, hi: s.hi}
+	if e.unanswered[key] == s {
+		delete(e.unanswered, key)
 	}
 }
+
+// retainFinished is how long a finished task stays to re-answer reissued
+// requests from its cached predictor.
+const retainFinished = 2 * time.Minute
 
 // maybeFinish completes a task when every subrange has answered (or been
 // abandoned).
 func (e *Engine) maybeFinish(t *task) {
-	if t.finished || t.open > 0 {
+	if t.open == 0 {
+		e.finish(t)
+	}
+}
+
+// finish completes a task exactly once, whether leaf or interior: it
+// queues the task for retirement retainFinished from now and answers its
+// parents.
+func (e *Engine) finish(t *task) {
+	if t.finished {
 		return
 	}
 	t.finished = true
-	e.respond(t)
-	// Retain finished tasks briefly so reissued requests get the cached
-	// answer, then reclaim the memory.
 	sched := e.host.PastryNode().Sched()
-	sched.After(2*time.Minute, func() { delete(e.tasks, t.key) })
+	t.retireAt = sched.Now() + retainFinished
+	if e.retireTail == nil {
+		e.retireHead = t
+		e.retireTimer = sched.At(t.retireAt, e.retireFn)
+	} else {
+		e.retireTail.nextRetire = t
+	}
+	e.retireTail = t
+	e.respond(t)
+}
+
+// retireDue removes every queued task whose window has closed, then
+// re-arms for the new head. Retirement runs on virtual time, so an idle
+// endsystem drains too. Only the queued task itself is removed: a
+// same-key task created after Reset stays until its own deadline.
+func (e *Engine) retireDue() {
+	sched := e.host.PastryNode().Sched()
+	now := sched.Now()
+	for t := e.retireHead; t != nil && t.retireAt <= now; t = e.retireHead {
+		e.retireHead, t.nextRetire = t.nextRetire, nil
+		if e.tasks[t.key] == t {
+			delete(e.tasks, t.key)
+		}
+	}
+	if e.retireHead == nil {
+		e.retireTail = nil
+		return
+	}
+	e.retireTimer = sched.At(e.retireHead.retireAt, e.retireFn)
 }
 
 // respond sends the task's aggregated predictor to its parents: a

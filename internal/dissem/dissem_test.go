@@ -25,6 +25,7 @@ type testHost struct {
 	engine   *Engine
 	rows     float64
 	observed int
+	resps    int // rangeResp messages delivered over the network
 }
 
 func (h *testHost) PastryNode() *pastry.Node              { return h.node }
@@ -38,6 +39,9 @@ func (h *testHost) QueryObserved(qid ids.ID, q *relq.Query, injector simnet.Endp
 
 // Deliver dispatches to the engine first, then the metadata service.
 func (h *testHost) Deliver(key ids.ID, from simnet.Endpoint, payload any) {
+	if _, ok := payload.(*rangeResp); ok {
+		h.resps++
+	}
 	if h.engine.HandleMessage(from, payload) {
 		return
 	}
@@ -333,5 +337,156 @@ func TestSingleNodeQuery(t *testing.T) {
 	}
 	if got.ExpectedTotal() != 1 {
 		t.Fatalf("total = %v, want 1", got.ExpectedTotal())
+	}
+}
+
+// TestRetirementIgnoresTaskReplacedAfterReset finishes a task, restarts
+// the endsystem, and starts the same task key again inside the re-answer
+// window: the first task's deadline must not retire its replacement.
+func TestRetirementIgnoresTaskReplacedAfterReset(t *testing.T) {
+	c := newCluster(t, 32, 10, DefaultConfig())
+	c.sched.RunUntil(time.Minute)
+	e := c.hosts[0].engine
+	ep := c.hosts[0].node.Endpoint()
+	qid := QueryID(testQuery, c.sched.Now())
+	key := taskKey{qid: qid, lo: ids.ID{}, hi: ids.MaxID}
+
+	e.beginTask(qid, testQuery, key.lo, key.hi, ep, ep, 0)
+	c.sched.RunUntil(c.sched.Now() + 30*time.Second)
+	first := e.tasks[key]
+	if first == nil || !first.finished {
+		t.Fatal("root task did not finish within 30s")
+	}
+
+	e.Reset()
+	e.beginTask(qid, testQuery, key.lo, key.hi, ep, ep, 0)
+	c.sched.RunUntil(first.retireAt + time.Second)
+	second := e.tasks[key]
+	if second == nil || second == first {
+		t.Fatal("the first task's deadline retired the task started after Reset")
+	}
+	if !second.finished {
+		t.Fatal("replacement task did not finish")
+	}
+	c.sched.RunUntil(second.retireAt + time.Second)
+	if _, ok := e.tasks[key]; ok {
+		t.Fatal("replacement task outlived its own deadline")
+	}
+}
+
+// TestFinishedTaskRetention checks the task lifecycle end to end: a
+// duplicate request inside the re-answer window is answered from the
+// cached task without contributing again, responses count once per
+// subrange, unknown responses are ignored, and after the window every
+// engine holds no task at all, leaf tasks included.
+func TestFinishedTaskRetention(t *testing.T) {
+	n := 24
+	c := newCluster(t, n, 11, DefaultConfig())
+	c.sched.RunUntil(time.Minute)
+	dead := c.hosts[n-1]
+	dead.meta.Deactivate()
+	dead.node.Stop()
+	c.sched.RunUntil(c.sched.Now() + 10*time.Minute)
+
+	type contribution struct{ handler, subject ids.ID }
+	contribs := map[contribution]int{}
+	DebugContribute = func(handler, subject ids.ID, rows float64) {
+		contribs[contribution{handler, subject}]++
+	}
+	defer func() { DebugContribute = nil }()
+
+	var got *predictor.Predictor
+	qid := c.hosts[0].engine.Inject(testQuery, 0, func(p *predictor.Predictor) { got = p })
+	c.sched.RunUntil(c.sched.Now() + 30*time.Second)
+	if got == nil {
+		t.Fatal("no predictor within 30s")
+	}
+
+	// The dead endsystem was predicted on behalf of exactly once; find the
+	// leaf task that did it.
+	if len(contribs) != 1 {
+		t.Fatalf("on-behalf contributions %v, want one for the dead endsystem", contribs)
+	}
+	var handler *testHost
+	for k, cnt := range contribs {
+		if k.subject != dead.node.ID() || cnt != 1 {
+			t.Fatalf("on-behalf contributions %v, want one for the dead endsystem", contribs)
+		}
+		for _, h := range c.hosts {
+			if h.node.ID() == k.handler {
+				handler = h
+			}
+		}
+	}
+	var leaf *task
+	for _, tk := range handler.engine.tasks {
+		if dead.node.ID().InRange(tk.key.lo, tk.key.hi) &&
+			(leaf == nil || tk.key.hi.Sub(tk.key.lo).Less(leaf.key.hi.Sub(leaf.key.lo))) {
+			leaf = tk
+		}
+	}
+	if leaf == nil || !leaf.finished {
+		t.Fatal("leaf task not retained inside the window")
+	}
+
+	// Duplicate request from a new parent: answered from the cache, with
+	// no second contribution.
+	var observer *testHost
+	for _, h := range c.hosts[:n-1] {
+		if h != handler {
+			observer = h
+			break
+		}
+	}
+	before := observer.resps
+	handler.engine.HandleMessage(observer.node.Endpoint(), &rangeMsg{QueryID: qid, Query: testQuery,
+		Lo: leaf.key.lo, Hi: leaf.key.hi, Parent: observer.node.Endpoint(), Injector: c.hosts[0].node.Endpoint()})
+	c.sched.RunUntil(c.sched.Now() + 5*time.Second)
+	if observer.resps != before+1 {
+		t.Fatalf("duplicate request answered %d times, want 1", observer.resps-before)
+	}
+	if len(contribs) != 1 || contribs[contribution{handler.node.ID(), dead.node.ID()}] != 1 {
+		t.Fatalf("duplicate request contributed again: %v", contribs)
+	}
+
+	// A fresh interior task with network subranges still outstanding: a
+	// duplicated response folds in once, and an unknown one is ignored.
+	e := c.hosts[0].engine
+	ep := c.hosts[0].node.Endpoint()
+	qid2 := QueryID(testQuery, c.sched.Now())
+	e.beginTask(qid2, testQuery, ids.ID{}, ids.MaxID, ep, ep, 0)
+	root := e.tasks[taskKey{qid: qid2, lo: ids.ID{}, hi: ids.MaxID}]
+	var remote *subrange
+	for _, s := range e.unanswered {
+		if s.owner == root && !s.local {
+			remote = s
+			break
+		}
+	}
+	if remote == nil {
+		t.Fatal("root task has no outstanding network subrange")
+	}
+	open, acc := root.open, root.acc.Immediate
+	resp := &rangeResp{QueryID: qid2, Lo: remote.lo, Hi: remote.hi, Pred: &predictor.Predictor{Immediate: 1000}}
+	e.HandleMessage(ep, resp)
+	e.HandleMessage(ep, resp)
+	if root.open != open-1 || root.acc.Immediate != acc+1000 {
+		t.Fatalf("duplicated response: open %d->%d, immediate %v->%v; want one fold",
+			open, root.open, acc, root.acc.Immediate)
+	}
+	e.HandleMessage(ep, &rangeResp{QueryID: qid2, Lo: remote.lo, Hi: remote.lo, Pred: &predictor.Predictor{Immediate: 1}})
+	e.HandleMessage(ep, &rangeResp{QueryID: qid, Lo: remote.lo, Hi: remote.hi, Pred: &predictor.Predictor{Immediate: 1}})
+	if root.open != open-1 || root.acc.Immediate != acc+1000 {
+		t.Fatal("a response for an unknown subrange was folded in")
+	}
+
+	// Past every retry and the re-answer window, no engine holds any
+	// per-range state.
+	c.sched.RunUntil(c.sched.Now() + 30*time.Minute)
+	for i, h := range c.hosts {
+		if k := h.engine.NumTasks(); k != 0 || len(h.engine.unanswered) != 0 {
+			t.Fatalf("node %d holds %d tasks and %d unanswered subranges after the window",
+				i, k, len(h.engine.unanswered))
+		}
 	}
 }

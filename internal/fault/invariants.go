@@ -24,7 +24,8 @@ const (
 	// replica set.
 	InvariantMetaConvergence = "metadata_convergence"
 	// InvariantNoOrphans: after query TTLs expire, no aggregation-tree
-	// vertex remains (no leaked per-query state, no orphaned subtrees).
+	// vertex and no dissemination range task remains (no leaked per-query
+	// state, no orphaned subtrees).
 	InvariantNoOrphans = "no_orphan_vertices"
 	// InvariantTraceVisibility: every scheduled injection produced its
 	// activation event in the obs trace (the fault layer cannot act
