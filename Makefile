@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench runner-bench cluster-bench cluster-bench-sharded shard-smoke bench-smoke relq-bench relq-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
+.PHONY: all build fmt-check vet test race bench runner-bench cluster-bench scale-smoke bench-smoke relq-bench relq-smoke profile sweep-smoke chaos-smoke hedge-smoke hedge-bench coords-smoke coords-bench workload-smoke trace-smoke qserve-bench obs-bench check clean
 
 all: check
 
@@ -41,19 +41,11 @@ runner-bench:
 cluster-bench:
 	$(GO) test -run '^$$' -bench BenchmarkClusterSteadyState -benchtime=3x -benchmem .
 
-# cluster-bench-sharded runs the sharded-engine scaling benchmark: an
-# N=100,000 cluster on the 8-worker region-sharded engine, once at
-# GOMAXPROCS=1 and once at GOMAXPROCS=8 (identical event sequences —
-# the benchmark fails if the counts diverge), and writes the
-# "sharded_100k" entry of BENCH_cluster.json with the events/s ratio.
-cluster-bench-sharded:
-	$(GO) test -run '^$$' -bench BenchmarkClusterSharded100k -benchtime=1x -timeout 60m .
-
-# shard-smoke is the CI scale gate for the sharded engine: an N=1,000,000
-# cluster must construct and complete a short horizon in one process
-# (compact routing rows, lazy table fill, per-endpoint stats off).
-shard-smoke:
-	SEAWEED_SHARD_SMOKE=1 $(GO) test -run TestShardedMillionSmoke -v -timeout 60m .
+# scale-smoke is the CI scale gate: an N=1,000,000 cluster must construct
+# and complete a short horizon in one process (compact routing rows, lazy
+# table fill, per-endpoint stats off).
+scale-smoke:
+	SEAWEED_SCALE_SMOKE=1 $(GO) test -run TestMillionSmoke -v -timeout 60m .
 
 # bench-smoke is the CI benchmark gate: one iteration of the engine
 # benchmark. It fails on build errors, panics, and allocs/event above

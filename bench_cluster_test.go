@@ -112,7 +112,7 @@ func BenchmarkClusterSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := NewCluster(trace, WithSeed(7), WithFlowsPerDay(50))
+		c := New(WithTrace(trace), WithSeed(7), WithFlowsPerDay(50))
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -175,9 +175,9 @@ func writeClusterBench(cur clusterBenchMetrics) error {
 }
 
 // writeBenchEntry read-modify-writes one named entry of BENCH_cluster.json,
-// which holds one JSON object per benchmark (the serial N=2000 steady-state
-// run and the sharded N=100k scaling run) so `make cluster-bench` and
-// `make cluster-bench-sharded` can refresh their own numbers independently.
+// which holds one JSON object per benchmark (the N=2000 steady-state run,
+// the hedging study, the coordinates study) so each make target can
+// refresh its own numbers independently.
 func writeBenchEntry(key string, entry any) error {
 	entries := map[string]json.RawMessage{}
 	if data, err := os.ReadFile("BENCH_cluster.json"); err == nil {

@@ -94,7 +94,7 @@ type Config struct {
 	HedgeMinObs int
 	// HedgeSeed seeds the per-vertex replica-choice RNG streams. The
 	// embedding node derives it from its own seed when left 0, keeping
-	// replica picks byte-deterministic at any engine shard count.
+	// replica picks byte-deterministic per seed.
 	HedgeSeed int64
 
 	// Coords, when non-nil, biases entry-vertex selection by latency:
@@ -699,8 +699,7 @@ func (e *Engine) sendSubmission(qid ids.ID, c contribution, cause uint64) {
 // entering higher merely skips levels, which the versioned child tables
 // already tolerate. The comparison is strict and the chain is walked
 // deepest-first, so the id-only default wins ties and the choice is
-// byte-deterministic at any shard count — primaries come from the ring's
-// ground-truth index, which is stable within a scheduling window.
+// deterministic.
 func (e *Engine) nearestEntryVertex(qid, entry ids.ID) ids.ID {
 	node := e.host.PastryNode()
 	self := node.Endpoint()

@@ -87,14 +87,14 @@ func (h *testHost) LeafsetChanged() {
 }
 
 type cluster struct {
-	sched simnet.Scheduler
+	sched *simnet.Wheel
 	ring  *pastry.Ring
 	hosts []*testHost
 }
 
 func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
 	t.Helper()
-	c := &cluster{sched: simnet.NewScheduler()}
+	c := &cluster{sched: simnet.NewWheel()}
 	topo := simnet.UniformTopology(4, 10*time.Millisecond, time.Millisecond)
 	ncfg := simnet.DefaultNetworkConfig()
 	ncfg.Seed = seed

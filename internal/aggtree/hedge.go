@@ -21,9 +21,8 @@
 // child traffic (default 5% extra pulls), cancel on first response (any
 // message from the child resets the watch and the backoff), and respect a
 // cold-start floor (no hedging until a child has HedgeMinObs gaps on
-// record). Watch timers ride the owning node's shard-local scheduler
-// wheel and replica choice draws from a per-vertex SplitSeed RNG stream,
-// so hedged runs stay byte-deterministic at any engine shard count.
+// record). Replica choice draws from a per-vertex SplitSeed RNG stream,
+// so hedged runs stay byte-deterministic per seed.
 package aggtree
 
 import (
@@ -272,8 +271,8 @@ func (e *Engine) hedgeFire(v *vertexState, child ids.ID, ch *childHedge, deadlin
 		node.Route(child, msg, hedgePullMsgSize(), simnet.ClassQuery)
 	} else {
 		// Even strikes pull one of the child's advertised replicas, chosen
-		// by the per-vertex RNG stream (deterministic at any shard count;
-		// randomized so repeated hedges spread over the group). A replica
+		// by the per-vertex RNG stream (deterministic per seed; randomized
+		// so repeated hedges spread over the group). A replica
 		// in another region dodges a slow, partitioned, or dead child
 		// outright.
 		if v.hedgeRNG == nil {

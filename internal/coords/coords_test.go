@@ -78,8 +78,7 @@ func TestVivaldiConvergence(t *testing.T) {
 }
 
 // TestObserveDeterminism feeds two spaces the identical sample stream and
-// requires bit-identical coordinates — the property the sharded engine's
-// publish barriers preserve across worker counts.
+// requires bit-identical coordinates.
 func TestObserveDeterminism(t *testing.T) {
 	const n = 40
 	s1, net := testSpace(t, n, 3)

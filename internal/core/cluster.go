@@ -28,18 +28,6 @@ type ClusterConfig struct {
 	Pastry   pastry.Config
 	Node     NodeConfig
 	Seed     int64
-	// Shards selects the event engine. 0 (the default) runs the classic
-	// serial timer wheel, byte-identical to every historical seed. Any
-	// value >= 1 runs the sharded engine — the simnet is partitioned by
-	// router region into per-region wheels advanced with conservative
-	// lookahead — with up to Shards worker goroutines. Results are
-	// byte-identical across all Shards >= 1 values (the logical partition
-	// comes from the topology, not the worker count); Shards == 1 is the
-	// serial reference execution of that partition. Features that hinge
-	// on a single global event order (tracing, time-series sampling,
-	// fault injection, the query service) pin the engine back to one
-	// worker automatically.
-	Shards int
 	// Feed, when enabled, switches the cluster to live data updates:
 	// endsystems start empty and accrue rows while up, rebuilding and
 	// re-replicating their summaries as data changes. (The paper's own
@@ -97,7 +85,7 @@ func DefaultClusterConfig(trace *avail.Trace, seed int64) ClusterConfig {
 
 // Cluster is a running packet-level Seaweed simulation.
 type Cluster struct {
-	Sched simnet.Scheduler
+	Sched *simnet.Wheel
 	Net   *simnet.Network
 	Ring  *pastry.Ring
 	Nodes []*Node
@@ -114,12 +102,7 @@ type Cluster struct {
 func NewCluster(cfg ClusterConfig) *Cluster {
 	n := cfg.Trace.NumEndsystems()
 	topo := simnet.GenerateTopology(cfg.Topology, cfg.Seed)
-	var sched simnet.Scheduler
-	if cfg.Shards > 0 {
-		sched = simnet.NewSharded(topo, cfg.Shards)
-	} else {
-		sched = simnet.NewWheel()
-	}
+	sched := simnet.NewWheel()
 	net := simnet.NewNetwork(sched, topo, n, cfg.Net)
 	// Attach observability before the protocol layers are built: they cache
 	// their metric handles at construction time.
@@ -129,20 +112,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	o.BindClock(sched.Now)
 	net.SetObs(o)
-	// A tracer needs one globally ordered event stream; run it on a single
-	// worker so its output is the canonical serial interleaving.
-	if o.Tracer() != nil {
-		net.ForceSerial("tracer")
-	}
 	ring := pastry.NewRing(net, cfg.Pastry)
 	c := &Cluster{Sched: sched, Net: net, Ring: ring, Nodes: make([]*Node, n), cfg: cfg,
 		cSchedEvents: o.Counter("sched_events")}
 
 	// Virtual-time telemetry: when a sampler is attached to the obs layer,
-	// snapshot the load signals on its period. Like a tracer, a sampler
-	// forces experiment series serial, so sampling here cannot race.
+	// snapshot the load signals on its period.
 	if sw, period := o.Sampler(); sw != nil && period > 0 {
-		net.ForceSerial("timeseries sampler")
 		var lastT time.Duration
 		var lastEvents uint64
 		sched.Every(period, func() {
@@ -206,18 +182,15 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		c.Nodes[ep].startFeed()
 	}
 
-	// Schedule every availability transition on the endsystem's own shard
-	// wheel: a transition mutates that node's overlay and metadata state,
-	// which only its shard may touch under the sharded engine.
+	// Schedule every availability transition of the trace horizon.
 	for i := 0; i < n; i++ {
 		node := c.Nodes[i]
-		nodeSched := net.SchedulerFor(simnet.Endpoint(i))
 		for _, tr := range cfg.Trace.Profiles[i].Transitions(0, cfg.Trace.Horizon) {
 			tr := tr
 			if tr.Up {
-				nodeSched.At(tr.At, node.GoUp)
+				sched.At(tr.At, node.GoUp)
 			} else {
-				nodeSched.At(tr.At, node.GoDown)
+				sched.At(tr.At, node.GoDown)
 			}
 		}
 	}
@@ -335,21 +308,17 @@ func (c *Cluster) InjectQuery(from simnet.Endpoint, q *relq.Query) *QueryHandle 
 // the query service passes its started event so the whole query tree
 // chains back to admission. cause 0 starts a fresh causal tree.
 func (c *Cluster) InjectQueryCause(from simnet.Endpoint, q *relq.Query, cause uint64) *QueryHandle {
-	// The injector's shard clock stamps the handle: its callbacks run as
-	// events on that shard, where reading the engine-level (shard 0) clock
-	// mid-run would race and be off by up to one lookahead window.
-	sch := c.Net.SchedulerFor(from)
-	h := &QueryHandle{Injected: sch.Now(), done: make(chan struct{})}
+	h := &QueryHandle{Injected: c.Sched.Now(), done: make(chan struct{})}
 	node := c.Nodes[from]
 	o := c.Obs()
 	var hit50, hit90, hit99 bool
 	h.QueryID = node.InjectQuery(q, cause,
 		func(p *predictor.Predictor) {
 			h.Predictor = p
-			h.PredictorAt = sch.Now()
+			h.PredictorAt = c.Sched.Now()
 		},
 		func(part agg.Partial, contributors int64, span uint64) {
-			now := sch.Now()
+			now := c.Sched.Now()
 			h.deliver(ResultUpdate{
 				At: now, Partial: part, Contributors: contributors,
 			})

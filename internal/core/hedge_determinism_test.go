@@ -16,12 +16,11 @@ import (
 // (0 = disabled), and returns the observable outputs: the metrics
 // registry JSON, executed-event count, the query's full result log, and
 // separately the final result tuple for cross-mode comparison.
-func hedgeRun(t *testing.T, shards int, quantile float64) (output, final string) {
+func hedgeRun(t *testing.T, quantile float64) (output, final string) {
 	t.Helper()
 	tr := avail.GenerateFarsite(avail.DefaultFarsiteConfig(100, 36*time.Hour, 3))
 	cfg := DefaultClusterConfig(tr, 3)
 	cfg.Workload.MeanFlowsPerDay = 50
-	cfg.Shards = shards
 	cfg.Node.Agg.HedgeQuantile = quantile
 	o := obs.New()
 	cfg.Obs = o
@@ -50,20 +49,17 @@ func hedgeRun(t *testing.T, shards int, quantile float64) (output, final string)
 	return out.String(), final
 }
 
-// TestHedgedShardedByteDeterminism: hedging must preserve the engine's
-// byte-determinism guarantee — watch timers ride shard-local scheduler
-// wheels and replica picks come from per-vertex seeded streams, so a
-// hedged run's complete output (metrics, event count, every incremental
-// result) is identical at any shard count.
-func TestHedgedShardedByteDeterminism(t *testing.T) {
-	ref, _ := hedgeRun(t, 1, 0.95)
+// TestHedgedByteDeterminism: hedging must preserve the engine's
+// byte-determinism guarantee — replica picks come from per-vertex seeded
+// streams, so a hedged run's complete output (metrics, event count, every
+// incremental result) is identical between two runs with the same seed.
+func TestHedgedByteDeterminism(t *testing.T) {
+	ref, _ := hedgeRun(t, 0.95)
 	if len(ref) == 0 {
 		t.Fatal("reference hedged run produced no output")
 	}
-	for _, shards := range []int{2, 8} {
-		got, _ := hedgeRun(t, shards, 0.95)
-		diffLines(t, fmt.Sprintf("hedged shards=1 vs shards=%d", shards), ref, got)
-	}
+	got, _ := hedgeRun(t, 0.95)
+	diffLines(t, "hedged same-seed runs", ref, got)
 }
 
 // TestHedgedMatchesUnhedgedFinalResult: hedging substitutes equivalent
@@ -71,14 +67,12 @@ func TestHedgedShardedByteDeterminism(t *testing.T) {
 // converge to the same final aggregate (hedge answers may shift when
 // intermediate updates arrive, never what the query ultimately returns).
 func TestHedgedMatchesUnhedgedFinalResult(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		_, hedged := hedgeRun(t, shards, 0.95)
-		_, plain := hedgeRun(t, shards, 0)
-		if hedged == "" || plain == "" {
-			t.Fatalf("shards=%d: a run delivered no results (hedged=%q plain=%q)", shards, hedged, plain)
-		}
-		if hedged != plain {
-			t.Fatalf("shards=%d: final results differ: hedged %s vs unhedged %s", shards, hedged, plain)
-		}
+	_, hedged := hedgeRun(t, 0.95)
+	_, plain := hedgeRun(t, 0)
+	if hedged == "" || plain == "" {
+		t.Fatalf("a run delivered no results (hedged=%q plain=%q)", hedged, plain)
+	}
+	if hedged != plain {
+		t.Fatalf("final results differ: hedged %s vs unhedged %s", hedged, plain)
 	}
 }

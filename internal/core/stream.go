@@ -8,7 +8,7 @@ package core
 // wrapper over the log for code that polls.
 //
 // Everything here runs on the simulation's single driving goroutine (see
-// simnet.Scheduler), so no locking is needed — and none would help, since
+// simnet.Wheel), so no locking is needed — and none would help, since
 // reading results from another goroutine mid-run would race with the
 // scheduler anyway.
 

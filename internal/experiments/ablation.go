@@ -37,7 +37,6 @@ func AblationDissemArity(s Scale, arities []int) *ArityAblationResult {
 	runs := runSeries(s, "arity", len(arities), func(i int, sc Scale) any {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
 		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
 		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
 		cfg.Node.Dissem.Arity = arities[i]
@@ -255,7 +254,6 @@ func AblationPushPeriod(s Scale, periods []time.Duration) *PushPeriodResult {
 	runs := runSeries(s, "pushperiod", len(periods), func(i int, sc Scale) any {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
 		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
 		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
 		cfg.Node.Meta.PushPeriod = periods[i]
@@ -301,7 +299,6 @@ func AblationVertexReplicas(s Scale, backups []int) *VertexReplicaResult {
 	runs := runSeries(s, "replicas", len(backups), func(i int, sc Scale) any {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
 		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
 		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
 		cfg.Node.Agg.Backups = backups[i]
@@ -376,7 +373,6 @@ func AblationDeltaPush(s Scale) *DeltaPushResult {
 	runs := runSeries(s, "deltapush", 2, func(i int, sc Scale) any {
 		trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(sc.PacketN, sc.PacketHorizon, sc.Seed))
 		cfg := core.DefaultClusterConfig(trace, sc.Seed)
-		cfg.Shards = sc.Shards
 		cfg.Obs, cfg.NoObs = sc.Obs, sc.NoObs
 		cfg.Workload.MeanFlowsPerDay = sc.FlowsPerDay
 		cfg.Feed = core.FeedConfig{Enabled: true, Period: 30 * time.Minute}

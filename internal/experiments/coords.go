@@ -252,7 +252,6 @@ func (r *RTTScopeResult) OK() bool {
 func RTTScopeDemo(s Scale, radius time.Duration) *RTTScopeResult {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.PacketN, s.PacketHorizon, s.Seed))
 	cfg := core.DefaultClusterConfig(trace, s.Seed)
-	cfg.Shards = s.Shards
 	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
 	cfg.Obs, cfg.NoObs = s.Obs, s.NoObs
 	cfg.Coords = coords.Enabled()

@@ -50,13 +50,6 @@ type Scale struct {
 	// GOMAXPROCS, 1 = serial). Results are identical at any value; an
 	// attached tracer forces serial so the event stream stays whole.
 	Workers int
-	// Shards selects the event engine inside each simulation run: 0 keeps
-	// the classic serial wheel; >= 1 partitions the simnet by router
-	// region and advances the shards with up to Shards workers. Results
-	// are byte-identical at any value >= 1 (and differ from 0 only in the
-	// engine, not the model). Orthogonal to Workers, which fans whole
-	// independent runs.
-	Shards int
 	// Coords enables the Vivaldi network-coordinate subsystem inside every
 	// cluster the experiment builds (latency-biased delegate and
 	// aggregation-entry selection; RTT-scoped queries become available).

@@ -29,7 +29,6 @@ type packetRun struct {
 // injectAt, and runs to the trace horizon.
 func runPacket(s Scale, trace *avail.Trace, seed int64) *packetRun {
 	cfg := core.DefaultClusterConfig(trace, seed)
-	cfg.Shards = s.Shards
 	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
 	cfg.Obs, cfg.NoObs = s.Obs, s.NoObs
 	if s.Coords {
@@ -323,7 +322,6 @@ type Fig2Result struct {
 func Fig2(s Scale) *Fig2Result {
 	trace := avail.GenerateFarsite(avail.DefaultFarsiteConfig(s.PacketN, s.PacketHorizon, s.Seed))
 	cfg := core.DefaultClusterConfig(trace, s.Seed)
-	cfg.Shards = s.Shards
 	cfg.Workload.MeanFlowsPerDay = s.FlowsPerDay
 	cfg.Obs, cfg.NoObs = s.Obs, s.NoObs
 	c := core.NewCluster(cfg)

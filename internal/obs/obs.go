@@ -20,13 +20,12 @@
 // Event types in trace.go and the summarizer in summary.go.
 //
 // Metric handles (counters, gauges, histogram buckets) update with atomic
-// operations: under the sharded simulation engine (internal/simnet)
-// instrumentation fires concurrently from per-shard workers. All recorded
+// operations, so they are safe to use from any goroutine. All recorded
 // quantities are integers (counts, byte sizes, nanosecond durations), so
-// atomic integer accumulation also keeps every total independent of the
-// order shards interleave — which is what keeps metrics byte-identical
-// across worker counts. The tracer remains single-threaded: tracing forces
-// the engine serial (see simnet.Sharded.ForceSerial).
+// every total is exact and independent of accumulation order — which is
+// what keeps registries merged from parallel sweep runs byte-identical
+// across worker counts. The tracer is single-threaded: an attached tracer
+// forces sweeps serial.
 package obs
 
 import (
@@ -158,7 +157,7 @@ type Histogram struct {
 	count uint64
 	// sum is an integer: every recorded quantity is an integral count or
 	// nanosecond duration, and integer accumulation keeps the sum exact
-	// and order-independent across concurrent shard workers.
+	// and order-independent.
 	sum uint64
 	// minEnc holds min+1 (0 = no observations yet), so the zero-value
 	// histogram needs no sentinel initialization.
@@ -289,7 +288,7 @@ type Registry struct {
 	// mu guards the maps. Instrumentation sites fetch handles once at
 	// construction time, so get-or-create is a cold path; the lone
 	// mid-run creator is lazy per-query histogram naming, which must be
-	// safe when simulation events run on sharded workers.
+	// safe from any goroutine.
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge

@@ -22,20 +22,13 @@ type tableEntry struct {
 const maxHops = 64
 
 // Node is one overlay endsystem. All methods must be called from simulator
-// events on the node's own shard (the node is single-threaded under its
-// shard's wheel; with the serial engine that is the whole simulation).
+// events (the whole simulation is single-threaded under its wheel).
 type Node struct {
 	ring  *Ring
 	ep    simnet.Endpoint
 	id    ids.ID
 	app   Application
 	alive bool
-
-	// sched is the node's shard wheel: the only scheduler its timers may
-	// use under the sharded engine. shard caches the shard index for
-	// free-list, rng, and liveness lookups on the message hot path.
-	sched simnet.Scheduler
-	shard int32
 
 	leaf []NodeRef   // leafset: l/2 nearest per side, sorted by ID
 	rows []*tableRow // routing table rows, arena-allocated as needed
@@ -63,12 +56,8 @@ func (n *Node) Ring() *Ring { return n.ring }
 // Endpoint returns the node's network attachment.
 func (n *Node) Endpoint() simnet.Endpoint { return n.ep }
 
-// Sched returns the scheduler for this node's timers: its shard's wheel.
-// Layers above the overlay (metadata, dissemination, aggregation) must
-// schedule work that touches this node's state here, never on the
-// engine-level scheduler, or the work lands on the wrong shard under the
-// sharded engine.
-func (n *Node) Sched() simnet.Scheduler { return n.sched }
+// Sched returns the scheduler for this node's timers.
+func (n *Node) Sched() *simnet.Wheel { return n.ring.sched }
 
 // Ref returns the node's NodeRef.
 func (n *Node) Ref() NodeRef { return NodeRef{ID: n.id, EP: n.ep} }
@@ -103,7 +92,7 @@ func (n *Node) LeafInRange(lo, hi ids.ID) bool {
 // leafset plus already-materialized routing-table rows — knows inside the
 // inclusive linear id range [lo, hi], deduplicated and sorted by id, and
 // returns the extended slice. It never forces lazy table materialization
-// (which would draw from the shard rng and perturb baseline determinism);
+// (which would draw from the ring rng and perturb baseline determinism);
 // an empty result just means the caller falls back to id arithmetic.
 func (n *Node) AppendKnownInRange(dst []NodeRef, lo, hi ids.ID) []NodeRef {
 	start := len(dst)
@@ -171,7 +160,7 @@ func (n *Node) AppendReplicaSet(dst []NodeRef, k int) []NodeRef {
 // ground-truth index must already contain the full initial population
 // (see Ring.BootstrapAll).
 func (n *Node) StartBootstrap() {
-	n.ring.setAlive(n, true)
+	n.alive = true
 	n.joining = false
 	n.installState()
 	if n.OnReady != nil {
@@ -187,8 +176,7 @@ func (n *Node) installState() {
 		n.rowsReady = false
 		return
 	}
-	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.sh[n.shard].rng,
-		func() *tableRow { return n.ring.newRow(n.shard) })
+	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.newRow)
 	n.rowsReady = true
 }
 
@@ -198,11 +186,10 @@ func (n *Node) installState() {
 func (n *Node) ensureRows() {
 	n.rowsReady = true
 	learned := n.rows
-	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.sh[n.shard].rng,
-		func() *tableRow { return n.ring.newRow(n.shard) })
+	n.rows, _ = n.ring.buildRoutingTable(n.id, n.ring.newRow)
 	for i, row := range learned {
 		for i >= len(n.rows) {
-			n.rows = append(n.rows, n.ring.newRow(n.shard))
+			n.rows = append(n.rows, n.ring.newRow())
 		}
 		for d := 0; d < 16; d++ {
 			if row[d].ok && !n.rows[i][d].ok {
@@ -225,9 +212,6 @@ func (r *Ring) BootstrapAll(eps []simnet.Endpoint) {
 			panic("pastry: BootstrapAll on unknown endpoint")
 		}
 		n.alive = true
-		if r.aliveBits != nil {
-			r.aliveBits[ep] = true
-		}
 		refs = append(refs, n.Ref())
 	}
 	r.live = append(r.live, refs...)
@@ -247,13 +231,13 @@ func (n *Node) Start() {
 	if n.alive {
 		return
 	}
-	n.ring.setAlive(n, true)
+	n.alive = true
 	n.joining = true
 	n.leaf = nil
 	n.rows = nil
 	n.rowsReady = true // join transfers state eagerly
 	if n.ring.NumLive() == 0 {
-		n.ring.noteJoined(n)
+		n.ring.insertLive(n.Ref())
 		n.joining = false
 		if n.OnReady != nil {
 			n.OnReady()
@@ -270,7 +254,7 @@ func (n *Node) sendJoinRequest() {
 		return
 	}
 	if n.ring.NumLive() == 0 {
-		n.ring.noteJoined(n)
+		n.ring.insertLive(n.Ref())
 		n.joining = false
 		if n.OnReady != nil {
 			n.OnReady()
@@ -281,7 +265,7 @@ func (n *Node) sendJoinRequest() {
 	// not burn its whole retry timeout on a contact across the cut. The
 	// random draw is made regardless so the rng stream is identical with
 	// and without faults.
-	contact := n.ring.live[n.ring.sh[n.shard].rng.Intn(len(n.ring.live))]
+	contact := n.ring.live[n.ring.rng.Intn(len(n.ring.live))]
 	if !n.ring.reachable(n.ep, contact.EP) {
 		for _, ref := range n.ring.live {
 			if n.ring.reachable(n.ep, ref.EP) {
@@ -296,7 +280,7 @@ func (n *Node) sendJoinRequest() {
 	if timeout <= 0 {
 		timeout = 10 * n.ring.cfg.RetryTimeout
 	}
-	n.joinRetry = n.sched.After(timeout, func() {
+	n.joinRetry = n.ring.sched.After(timeout, func() {
 		n.ring.cJoinRetry.Inc()
 		n.sendJoinRequest()
 	})
@@ -304,27 +288,25 @@ func (n *Node) sendJoinRequest() {
 
 // Stop takes the node down silently (a crash or power-off). Failure
 // detection at its neighbors is modeled by scheduling notifications one to
-// two heartbeat periods later; the notifications travel through
-// Network.CallAfter so each lands on its target's shard.
+// two heartbeat periods later.
 func (n *Node) Stop() {
 	if !n.alive {
 		return
 	}
 	ref := n.Ref()
-	n.ring.setAlive(n, false)
-	n.ring.noteLeft(n, ref)
+	n.alive = false
+	n.ring.removeLive(ref)
 	n.joining = false
 	n.joinRetry.Cancel()
 	n.joinRetry = simnet.Timer{}
 	// The nodes holding this node in their leafsets — its lh successors
 	// and lh predecessors — learn of the death after the detection delay.
 	neighbors := n.ring.liveLeafNeighbors(n.ep, n.id, n.ring.cfg.LeafsetHalf)
-	rng := n.ring.sh[n.shard].rng
 	for _, nb := range neighbors {
 		nb := nb
 		delay := n.ring.cfg.HeartbeatPeriod +
-			time.Duration(rng.Float64()*float64(n.ring.cfg.HeartbeatPeriod))
-		n.ring.net.CallAfter(n.ep, nb.EP, delay, func() {
+			time.Duration(n.ring.rng.Float64()*float64(n.ring.cfg.HeartbeatPeriod))
+		n.ring.sched.After(delay, func() {
 			if m := n.ring.nodes[nb.EP]; m != nil && m.alive && m.id == nb.ID {
 				m.noteDead(ref)
 			}
@@ -340,7 +322,7 @@ func (n *Node) Route(key ids.ID, payload any, size int, class simnet.Class) {
 	if !n.alive {
 		return
 	}
-	n.forward(n.ring.getEnv(n.shard, key, payload, size, class), n.ep)
+	n.forward(n.ring.getEnv(key, payload, size, class), n.ep)
 }
 
 // forward advances an envelope one hop. origin is the endpoint of the
@@ -357,7 +339,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 			log.Printf("pastry: dropped route to %s at ep %d: hop limit %d exceeded",
 				env.Key.Short(), n.ep, maxHops)
 		}
-		n.ring.putEnv(n.shard, env)
+		n.ring.putEnv(env)
 		return
 	}
 	next, selfIsRoot := n.nextHop(env.Key)
@@ -368,13 +350,13 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 				QID: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		key, payload := env.Key, env.Payload
-		n.ring.putEnv(n.shard, env)
+		n.ring.putEnv(env)
 		n.app.Deliver(key, origin, payload)
 		return
 	}
 	env.Hops++
 	size := env.Size + envelopeOverhead
-	if !n.ring.isLiveFrom(n.shard, next) {
+	if !n.ring.isLive(next) {
 		// Stale entry: the transmission is wasted, and after a timeout the
 		// node removes the entry and reroutes — modeling MSPastry's
 		// per-hop ack timeout.
@@ -384,7 +366,7 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 				QID: traceQuery(env.Payload), EP: int(n.ep), N: int64(env.Hops)})
 		}
 		n.ring.net.AccountAggregate(n.ep, env.Class, size, 0)
-		n.sched.After(n.ring.cfg.RetryTimeout, func() {
+		n.ring.sched.After(n.ring.cfg.RetryTimeout, func() {
 			if !n.alive {
 				return
 			}
@@ -393,13 +375,12 @@ func (n *Node) forward(env *routeEnvelope, origin simnet.Endpoint) {
 		})
 		return
 	}
-	n.ring.net.Send(n.ep, next.EP, size, env.Class, n.ring.getHop(n.shard, env, origin, n.Ref(), n.sched.Now()))
+	n.ring.net.Send(n.ep, next.EP, size, env.Class, n.ring.getHop(env, origin, n.Ref(), n.ring.sched.Now()))
 }
 
 // hopMsg is the per-hop wrapper carrying an envelope between nodes. The
-// wrappers are pooled per shard (see Ring.getHop/putHop); the receiving
-// node recycles one into its own shard's list as soon as it has copied
-// the fields out.
+// wrappers are pooled (see Ring.getHop/putHop); the receiving node
+// recycles one as soon as it has copied the fields out.
 type hopMsg struct {
 	Env    *routeEnvelope
 	Origin simnet.Endpoint
@@ -410,7 +391,7 @@ type hopMsg struct {
 	// already pays for. The receiver turns now−SentAt into the RTT sample
 	// feeding the pastry_hop_rtt histogram and the coordinate space.
 	SentAt time.Duration
-	next   *hopMsg // per-shard free list
+	next   *hopMsg // free list
 }
 
 // SingleDelivery opts hop wrappers out of the duplication fault: the
@@ -535,8 +516,8 @@ func (n *Node) HandleMessage(from simnet.Endpoint, payload any) {
 	switch m := payload.(type) {
 	case *hopMsg:
 		env, origin, sender, sentAt := m.Env, m.Origin, m.Sender, m.SentAt
-		n.ring.putHop(n.shard, m)
-		if d := n.sched.Now() - sentAt; d > 0 {
+		n.ring.putHop(m)
+		if d := n.ring.sched.Now() - sentAt; d > 0 {
 			// One-way hop delay doubled into an RTT sample. Fault-injected
 			// extra delay inflates it, exactly as a real probe would see.
 			n.ring.hHopRTT.ObserveDuration(2 * d)
@@ -590,7 +571,7 @@ func (n *Node) learn(ref NodeRef) {
 		if len(n.rows) >= 8 { // deeper rows are covered by the leafset
 			return
 		}
-		n.rows = append(n.rows, n.ring.newRow(n.shard))
+		n.rows = append(n.rows, n.ring.newRow())
 	}
 	slot := &n.rows[plen][ref.ID.Digit(plen, b)]
 	if !slot.ok {
@@ -649,7 +630,7 @@ func (n *Node) repairLeafset() {
 	self := n.Ref()
 	for i := 0; i < 2 && i < len(n.leaf); i++ {
 		target := n.leaf[len(n.leaf)-1-i]
-		if n.ring.isLiveFrom(n.shard, target) {
+		if n.ring.isLive(target) {
 			n.ring.net.Send(n.ep, target.EP, refBytes+8, simnet.ClassPastry,
 				&leafsetPull{From: self})
 		}
@@ -737,10 +718,10 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	}
 	next, selfIsRoot := n.nextHop(req.Joiner.ID)
 	if !selfIsRoot {
-		if !n.ring.isLiveFrom(n.shard, next) {
+		if !n.ring.isLive(next) {
 			size := refBytes + 16
 			n.ring.net.AccountAggregate(n.ep, simnet.ClassPastry, size, 0)
-			n.sched.After(n.ring.cfg.RetryTimeout, func() {
+			n.ring.sched.After(n.ring.cfg.RetryTimeout, func() {
 				if n.alive {
 					n.dropRef(next)
 					n.handleJoinRequest(req)
@@ -756,8 +737,7 @@ func (n *Node) handleJoinRequest(req *joinRequest) {
 	// flattened into the reply and discarded, so they come from the plain
 	// heap rather than the table arena.
 	joiner := req.Joiner
-	rows, entries := n.ring.buildRoutingTable(joiner.ID, n.ring.sh[n.shard].rng,
-		func() *tableRow { return new(tableRow) })
+	rows, entries := n.ring.buildRoutingTable(joiner.ID, func() *tableRow { return new(tableRow) })
 	leafset := n.ring.liveLeafNeighbors(joiner.EP, joiner.ID, n.ring.cfg.LeafsetHalf)
 	reply := &joinReply{Leafset: leafset, Rows: flattenRows(rows)}
 	size := 16 + (len(leafset)+entries)*refBytes
@@ -790,11 +770,11 @@ func (n *Node) handleJoinReply(reply *joinReply) {
 	for _, ref := range reply.Rows {
 		n.learn(ref)
 	}
-	n.ring.noteJoined(n)
+	n.ring.insertLive(n.Ref())
 	n.ring.o.Emit(obs.Event{Kind: obs.KindJoin, EP: int(n.ep)})
 	ann := &nodeAnnounce{Node: n.Ref()}
 	for _, m := range n.leaf {
-		if n.ring.isLiveFrom(n.shard, m) {
+		if n.ring.isLive(m) {
 			n.ring.net.Send(n.ep, m.EP, refBytes+8, simnet.ClassPastry, ann)
 		}
 	}

@@ -133,7 +133,7 @@ type Service struct {
 	cfg   Config
 	c     *core.Cluster
 	svc   *core.QueryService
-	sched simnet.Scheduler
+	sched *simnet.Wheel
 
 	templates map[string]*relq.Query
 	queue     []*tracked // arrival order; SJF scans, FIFO pops head

@@ -6,9 +6,7 @@ import "repro/internal/obs"
 // optional: obs counters are nil-safe, so an unwired table (zero
 // ExecStats) pays one predicted branch per counter per execution and
 // nothing else. The cluster wires every endsystem table to one shared set
-// of registry counters; counts are accumulated atomically and are
-// order-independent, so totals stay byte-identical across sharded-engine
-// worker counts.
+// of registry counters.
 type ExecStats struct {
 	// RowsScanned counts rows evaluated by a predicate kernel. Rows in
 	// blocks that zone maps decided wholesale (pruned or all-match) are

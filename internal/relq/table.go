@@ -79,7 +79,7 @@ const BlockSize = 2048
 
 // Table is a columnar table holding one endsystem's horizontal partition of
 // a dataset. Tables are not safe for concurrent use; in the simulation each
-// table belongs to exactly one endsystem, which executes on one shard.
+// table belongs to exactly one endsystem.
 type Table struct {
 	schema Schema
 	cols   [][]int64

@@ -13,7 +13,7 @@
 //     scheduler, its own cluster, its own observability registry. The
 //     engine never shares mutable state between in-flight runs (the
 //     simnet scheduler additionally self-checks this; see
-//     simnet.Scheduler).
+//     simnet.Wheel).
 //  3. Ordered emission. Results are delivered to sinks and accumulated
 //     into the report strictly in run-index order, regardless of
 //     completion order, through a bounded reorder window that also caps

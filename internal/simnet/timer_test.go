@@ -5,18 +5,13 @@ import (
 	"time"
 )
 
-// forEachEngine runs a Timer-handle test against both Scheduler engines:
-// the serial Wheel and the Sharded engine (whose engine-level timers live
-// on shard 0's wheel).
-func forEachEngine(t *testing.T, test func(t *testing.T, s Scheduler)) {
+// onWheel runs a Timer-handle test as subtest "wheel" on a fresh Wheel.
+func onWheel(t *testing.T, test func(t *testing.T, s *Wheel)) {
 	t.Run("wheel", func(t *testing.T) { test(t, NewWheel()) })
-	t.Run("sharded", func(t *testing.T) {
-		test(t, NewSharded(GenerateTopology(DefaultTopologyConfig(), 1), 4))
-	})
 }
 
 func TestTimerCancelThroughCopy(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s Scheduler) {
+	onWheel(t, func(t *testing.T, s *Wheel) {
 		fired := false
 		tm := s.After(time.Second, func() { fired = true })
 		cp := tm
@@ -34,7 +29,7 @@ func TestTimerCancelThroughCopy(t *testing.T) {
 }
 
 func TestTimerCancelAfterFire(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s Scheduler) {
+	onWheel(t, func(t *testing.T, s *Wheel) {
 		fired := 0
 		tm := s.After(time.Second, func() { fired++ })
 		s.Run()
@@ -48,7 +43,7 @@ func TestTimerCancelAfterFire(t *testing.T) {
 }
 
 func TestTimerSecondCancel(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s Scheduler) {
+	onWheel(t, func(t *testing.T, s *Wheel) {
 		tm := s.After(time.Second, func() {})
 		if !tm.Cancel() {
 			t.Fatal("first Cancel returned false")
@@ -64,7 +59,7 @@ func TestTimerSecondCancel(t *testing.T) {
 }
 
 func TestTimerPeriodicCancelInOwnTick(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s Scheduler) {
+	onWheel(t, func(t *testing.T, s *Wheel) {
 		fires := 0
 		var tm Timer
 		tm = s.Every(time.Second, func() {
@@ -87,7 +82,7 @@ func TestTimerPeriodicCancelInOwnTick(t *testing.T) {
 // was recycled and then reused by a newer timer must not cancel the newer
 // timer.
 func TestTimerStaleHandleABA(t *testing.T) {
-	forEachEngine(t, func(t *testing.T, s Scheduler) {
+	onWheel(t, func(t *testing.T, s *Wheel) {
 		stale := s.After(time.Second, func() {})
 		s.Run() // fires and recycles stale's event
 		fired := false

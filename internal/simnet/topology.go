@@ -215,36 +215,6 @@ func (t *Topology) NumRegions() int {
 	return t.numRegions
 }
 
-// MinCrossRegionOneWay returns the smallest one-way endsystem-to-endsystem
-// delay between any two routers in different failure regions. It is the
-// conservative lookahead of the sharded engine: a message sent by an
-// endsystem in one region cannot be delivered in another region sooner
-// than this, so shards (one per region) may be advanced independently
-// through any window shorter than it. Returns 0 when the topology has a
-// single region (no cross-region traffic exists; the engine degrades to
-// one shard).
-func (t *Topology) MinCrossRegionOneWay() time.Duration {
-	min := time.Duration(0)
-	found := false
-	for a := 0; a < t.numRouters; a++ {
-		row := t.rtt[a*t.numRouters : (a+1)*t.numRouters]
-		ra := t.Region(a)
-		for b := 0; b < t.numRouters; b++ {
-			if t.Region(b) == ra {
-				continue
-			}
-			if d := 2*t.lanDelay + row[b]/2; !found || d < min {
-				min = d
-				found = true
-			}
-		}
-	}
-	if !found {
-		return 0
-	}
-	return min
-}
-
 // RouterRTT returns the shortest-path round-trip time between two routers.
 func (t *Topology) RouterRTT(a, b int) time.Duration {
 	if a < 0 || a >= t.numRouters || b < 0 || b >= t.numRouters {

@@ -18,7 +18,7 @@
 //   - Queries: the supported SQL subset (single-table SELECT with
 //     SUM/COUNT/AVG/MIN/MAX, conjunctive comparison predicates, NOW()
 //     arithmetic) via ParseQuery.
-//   - Deployments: NewCluster builds a packet-level simulated deployment
+//   - Deployments: New builds a packet-level simulated deployment
 //     of full Seaweed endsystems over a discrete-event network; InjectQuery
 //     returns the predictor and the incremental result stream.
 //   - Completeness studies: RunCompleteness evaluates predicted versus
@@ -214,20 +214,6 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithShards runs the deployment on the sharded event engine with up to n
-// worker goroutines (ClusterConfig.Shards). The simnet is partitioned by
-// router region and advanced with conservative lookahead; results are
-// byte-identical for every n >= 1, and n == 1 is the serial reference
-// execution of the sharded partition. The default (no option) is the
-// classic serial wheel, byte-compatible with historical seeds. Tracing,
-// time-series sampling, fault injection and the query service need a
-// single global event order and pin the engine back to one worker.
-func WithShards(n int) Option {
-	return func(b *builder) {
-		b.mods = append(b.mods, func(cfg *ClusterConfig) { cfg.Shards = n })
-	}
-}
-
 // WithLoss sets the independent per-message drop probability of the
 // simulated network (ClusterConfig.Net.LossRate). Default 0.
 func WithLoss(rate float64) Option {
@@ -306,7 +292,6 @@ func WithConfig(fn func(*ClusterConfig)) Option {
 //	c := seaweed.New(
 //		seaweed.WithTrace(trace),
 //		seaweed.WithSeed(7),
-//		seaweed.WithShards(8),
 //		seaweed.WithScale(1000))
 //
 // WithTrace is required; every other knob defaults to the paper's
@@ -324,25 +309,6 @@ func New(opts ...Option) *Cluster {
 	cfg := core.DefaultClusterConfig(b.trace, b.seed)
 	for _, mod := range b.mods {
 		mod(&cfg)
-	}
-	return core.NewCluster(cfg)
-}
-
-// NewCluster builds a deployment over the trace.
-//
-// Deprecated: use New with WithTrace; this shim forwards to it.
-func NewCluster(trace *AvailabilityTrace, opts ...Option) *Cluster {
-	return New(append([]Option{WithTrace(trace)}, opts...)...)
-}
-
-// NewClusterFromConfig builds and wires the deployment from an explicit
-// configuration (see DefaultClusterConfig).
-//
-// Deprecated: use New with WithConfig (or construct the config and pass
-// it through core directly); this shim remains for struct-level callers.
-func NewClusterFromConfig(cfg ClusterConfig) *Cluster {
-	if cfg.Trace == nil {
-		panic("seaweed.NewClusterFromConfig: ClusterConfig.Trace is required")
 	}
 	return core.NewCluster(cfg)
 }
